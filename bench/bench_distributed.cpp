@@ -14,21 +14,15 @@
 //                      1-process reference digest
 //   * match            1 when report bytes AND digest equal the reference
 //
-// Schema 2 additionally runs every fleet configuration in partitioned mode
-// and records run_mode, the per-worker owned node-event counts (which must
-// sum exactly to the 1-process node-event total — the division-of-work
-// proof), and the descriptor payload bytes shipped cross-process.
-//
 // The bench exits 1 if any fleet configuration diverges from the
-// 1-process run or the partitioned ownership accounting fails to tile —
-// this is the ROADMAP acceptance check in bench form.
-// Writes BENCH_distributed.json (schema below) for the perf trajectory.
+// 1-process run — this is the ROADMAP acceptance check in bench form.
+// Writes BENCH_distributed.json (schema 3: one row per configuration with
+// the fields above) for the perf trajectory.
 //
 //   $ ./bench/bench_distributed              # workers 1, 2, 4
 //   $ ./bench/bench_distributed 2 8          # explicit worker counts
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -54,12 +48,13 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   std::vector<std::uint32_t> worker_counts;
   for (int i = 1; i < argc; ++i) {
-    const long v = std::strtol(argv[i], nullptr, 10);
-    if (v < 1 || v > 64) {
-      std::fprintf(stderr, "usage: %s [worker-count...]\n", argv[0]);
+    auto count = dist::parse_count(argv[i]);
+    if (!count.is_ok()) {
+      std::fprintf(stderr, "%s\nusage: %s [worker-count...]\n",
+                   count.error_message().c_str(), argv[0]);
       return 2;
     }
-    worker_counts.push_back(static_cast<std::uint32_t>(v));
+    worker_counts.push_back(count.value());
   }
   if (worker_counts.empty()) worker_counts = {1, 2, 4};
 
@@ -87,21 +82,19 @@ int main(int argc, char** argv) {
   const dist::RunSummary& ref = single.value().summary;
 
   bench::BenchReport report("distributed");
-  report.set_schema_version(2);
+  report.set_schema_version(3);
   report.set_meta("scenario", "tourist.scn");
 
-  bench::Table table({"mode", "run_mode", "workers", "threads", "wall_ms",
-                      "rounds", "bytes", "B/round", "posts", "owned",
-                      "desc_B", "digest", "match"});
+  bench::Table table({"mode", "workers", "threads", "wall_ms", "rounds",
+                      "frames", "bytes", "B/round", "posts", "digest",
+                      "match"});
   char digest_hex[32];
   std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                 static_cast<unsigned long long>(ref.state_digest));
-  table.add_row({"single", "-", "0", "1", bench::fmt(single_ms), "-", "-",
-                 "-", "-", std::to_string(single.value().node_events), "-",
-                 digest_hex, "-"});
+  table.add_row({"single", "0", "1", bench::fmt(single_ms), "-", "-", "-",
+                 "-", "-", digest_hex, "-"});
   report.add_row()
       .field("mode", std::string("single"))
-      .field("run_mode", std::string("single"))
       .field("workers", std::uint64_t{0})
       .field("threads", std::uint64_t{1})
       .field("wall_ms", single_ms)
@@ -110,9 +103,6 @@ int main(int argc, char** argv) {
       .field("bytes", std::uint64_t{0})
       .field("bytes_per_round", 0.0)
       .field("posts_on_wire", std::uint64_t{0})
-      .field("node_events", single.value().node_events)
-      .field("owned_events", std::string(""))
-      .field("desc_post_bytes", std::uint64_t{0})
       .field("digest", std::string(digest_hex))
       .field("match", std::uint64_t{1});
 
@@ -122,72 +112,48 @@ int main(int argc, char** argv) {
     // parallel engine while workers run single-threaded, proving the
     // protocol digests are thread-count-invariant *across processes*.
     for (unsigned threads : {1u, 2u}) {
-      for (dist::RunMode mode :
-           {dist::RunMode::kReplica, dist::RunMode::kPartitioned}) {
-        dist::EndpointConfig cfg;
-        cfg.scenario_text = scenario;
-        cfg.nworkers = workers;
-        cfg.threads = threads;
-        cfg.mode = mode;
-        t0 = std::chrono::steady_clock::now();
-        auto fleet = dist::run_local_fleet(cfg);
-        const double ms = wall_ms_since(t0);
-        if (!fleet.is_ok()) {
-          std::fprintf(stderr, "fleet %u failed: %s\n", workers,
-                       fleet.error_message().c_str());
-          return 1;
-        }
-        const dist::FleetResult& res = fleet.value();
-        // Partitioned rows must additionally prove the division of work:
-        // the per-worker owned counts tile the 1-process node-event total.
-        std::string owned;
-        std::uint64_t owned_sum = 0, desc_bytes = 0;
-        for (std::size_t i = 0; i < res.workers.size(); ++i) {
-          owned += (i ? ",w" : "w") + std::to_string(i) + ":" +
-                   std::to_string(res.workers[i].owned_events);
-          owned_sum += res.workers[i].owned_events;
-          desc_bytes += res.workers[i].desc_post_bytes;
-        }
-        const bool partitioned = mode != dist::RunMode::kReplica;
-        const bool match =
-            res.report == single.value().report &&
-            res.summary.state_digest == ref.state_digest &&
-            (!partitioned || owned_sum == single.value().node_events);
-        all_match = all_match && match;
-        const double per_round =
-            res.stats.rounds == 0
-                ? 0.0
-                : static_cast<double>(res.stats.bytes) /
-                      static_cast<double>(res.stats.rounds);
-        std::snprintf(
-            digest_hex, sizeof digest_hex, "%016llx",
-            static_cast<unsigned long long>(res.summary.state_digest));
-        table.add_row({"fleet", dist::run_mode_name(res.partition.mode),
-                       std::to_string(workers), std::to_string(threads),
-                       bench::fmt(ms), std::to_string(res.stats.rounds),
-                       std::to_string(res.stats.bytes), bench::fmt(per_round),
-                       std::to_string(res.stats.posts_on_wire),
-                       partitioned ? owned : "-",
-                       std::to_string(desc_bytes), digest_hex,
-                       match ? "yes" : "NO"});
-        report.add_row()
-            .field("mode", std::string("fleet"))
-            .field("run_mode",
-                   std::string(dist::run_mode_name(res.partition.mode)))
-            .field("workers", std::uint64_t{workers})
-            .field("threads", std::uint64_t{threads})
-            .field("wall_ms", ms)
-            .field("rounds", res.stats.rounds)
-            .field("frames", res.stats.frames)
-            .field("bytes", res.stats.bytes)
-            .field("bytes_per_round", per_round)
-            .field("posts_on_wire", res.stats.posts_on_wire)
-            .field("node_events", res.partition.node_events)
-            .field("owned_events", owned)
-            .field("desc_post_bytes", desc_bytes)
-            .field("digest", std::string(digest_hex))
-            .field("match", std::uint64_t{match ? 1u : 0u});
+      dist::EndpointConfig cfg;
+      cfg.scenario_text = scenario;
+      cfg.nworkers = workers;
+      cfg.threads = threads;
+      t0 = std::chrono::steady_clock::now();
+      auto fleet = dist::run_local_fleet(cfg);
+      const double ms = wall_ms_since(t0);
+      if (!fleet.is_ok()) {
+        std::fprintf(stderr, "fleet %u failed: %s\n", workers,
+                     fleet.error_message().c_str());
+        return 1;
       }
+      const dist::FleetResult& res = fleet.value();
+      const bool match = res.report == single.value().report &&
+                         res.summary.state_digest == ref.state_digest;
+      all_match = all_match && match;
+      const double per_round =
+          res.stats.rounds == 0
+              ? 0.0
+              : static_cast<double>(res.stats.bytes) /
+                    static_cast<double>(res.stats.rounds);
+      std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
+                    static_cast<unsigned long long>(res.summary.state_digest));
+      table.add_row({"fleet", std::to_string(workers),
+                     std::to_string(threads), bench::fmt(ms),
+                     std::to_string(res.stats.rounds),
+                     std::to_string(res.stats.frames),
+                     std::to_string(res.stats.bytes), bench::fmt(per_round),
+                     std::to_string(res.stats.posts_on_wire), digest_hex,
+                     match ? "yes" : "NO"});
+      report.add_row()
+          .field("mode", std::string("fleet"))
+          .field("workers", std::uint64_t{workers})
+          .field("threads", std::uint64_t{threads})
+          .field("wall_ms", ms)
+          .field("rounds", res.stats.rounds)
+          .field("frames", res.stats.frames)
+          .field("bytes", res.stats.bytes)
+          .field("bytes_per_round", per_round)
+          .field("posts_on_wire", res.stats.posts_on_wire)
+          .field("digest", std::string(digest_hex))
+          .field("match", std::uint64_t{match ? 1u : 0u});
     }
   }
   table.print();
@@ -196,10 +162,10 @@ int main(int argc, char** argv) {
   if (!all_match) {
     std::fprintf(stderr,
                  "FAIL: a fleet configuration diverged from the 1-process "
-                 "reference (or partitioned ownership failed to tile)\n");
+                 "reference\n");
     return 1;
   }
   std::printf("\nall fleet configurations byte-identical to the 1-process "
-              "reference; partitioned ownership tiles the node events\n");
+              "reference\n");
   return 0;
 }

@@ -12,9 +12,7 @@
 namespace omni::dist {
 
 Coordinator::Coordinator(EndpointConfig cfg, std::vector<Transport> links)
-    : cfg_(std::move(cfg)), links_(std::move(links)) {
-  partition_.mode = cfg_.mode;
-}
+    : cfg_(std::move(cfg)), links_(std::move(links)) {}
 
 bool Coordinator::fail(const std::string& message) {
   if (error_.empty()) {
@@ -60,7 +58,6 @@ Status Coordinator::handshake(net::Testbed& bed) {
     else if (hs.lookahead_us != bed.simulator().lookahead().as_micros()) {
       mismatch = "lookahead";
     }
-    else if (hs.mode != cfg_.mode) mismatch = "run mode";
     if (!mismatch.empty()) {
       const std::string msg = "handshake with worker " + std::to_string(i) +
                               ": " + mismatch + " mismatch";
@@ -76,8 +73,7 @@ Status Coordinator::handshake(net::Testbed& bed) {
     welcome.sender = kCoordinatorId;
     welcome.handshake = Handshake{kProtocolVersion, i, cfg_.nworkers,
                                   bed.simulator().seed(), scenario_hash,
-                                  bed.simulator().lookahead().as_micros(),
-                                  cfg_.mode};
+                                  bed.simulator().lookahead().as_micros()};
     Status s = send_frame(links_[i], welcome);
     if (!s.is_ok()) return s;
   }
@@ -109,26 +105,6 @@ bool Coordinator::window_close(std::uint64_t round,
                                std::span<const sim::PostRecord> posts) {
   if (!error_.empty()) return false;
   const std::uint32_t n = static_cast<std::uint32_t>(links_.size());
-  // Partitioned bookkeeping first, so the fallback diagnostic lands even
-  // when a worker turns out to have diverged this same round. The
-  // coordinator is the only endpoint that prints it; the workers reach the
-  // identical verdict silently from the identical merge.
-  if (const sim::PostRecord* bad =
-          note_partition_window(posts, n, kCoordinatorId, round, partition_)) {
-    char src[24], dst[24];
-    if (bad->src == sim::kGlobalOwner) std::snprintf(src, sizeof(src), "global");
-    else std::snprintf(src, sizeof(src), "node %u", bad->src);
-    if (bad->dst == sim::kGlobalOwner) std::snprintf(dst, sizeof(dst), "global");
-    else std::snprintf(dst, sizeof(dst), "node %u", bad->dst);
-    std::fprintf(stderr,
-                 "dist: round %llu: cross-process post of a '%s' event "
-                 "(%s -> %s at t=%lldus) cannot ship as data; "
-                 "falling back to replica execution\n",
-                 static_cast<unsigned long long>(round),
-                 sim::event_kind_name(
-                     static_cast<sim::EventKind>(partition_.fallback_kind)),
-                 src, dst, static_cast<long long>(bad->at.as_micros()));
-  }
   std::vector<sim::PostRecord> expected;
   for (std::uint32_t i = 0; i < n; ++i) {
     Result<Frame> done = recv_frame(links_[i]);
@@ -202,14 +178,11 @@ bool Coordinator::window_close(std::uint64_t round,
 Status Coordinator::finish(net::Testbed& bed) {
   if (!error_.empty()) return Status::error(error_);
   summary_ = collect_summary(bed, fnv1a64(report_.str()));
-  partition_.owned_events = bed.simulator().owned_node_events();
-  partition_.node_events = bed.simulator().node_events_run();
   Frame fin;
   fin.type = FrameType::kFin;
   fin.sender = kCoordinatorId;
   fin.round = stats_.rounds;
   fin.summary = summary_;
-  fin.partition = partition_;
   for (std::uint32_t i = 0; i < links_.size(); ++i) {
     Status s = send_frame(links_[i], fin);
     if (!s.is_ok()) {
@@ -240,32 +213,6 @@ Status Coordinator::finish(net::Testbed& bed) {
                            " run summary diverged (worker vs coordinator): " +
                            diff);
     }
-    worker_partitions_.push_back(f.partition);
-  }
-  if (cfg_.mode != RunMode::kReplica) {
-    // Division-of-work proof: the fallback verdict is deterministic, so
-    // every endpoint must have finished in the same mode, and the owned
-    // node-event counts of the workers must tile this replica's node-owner
-    // total exactly — no event unowned, none owned twice.
-    std::uint64_t owned_sum = 0;
-    for (std::uint32_t i = 0; i < worker_partitions_.size(); ++i) {
-      const PartitionStats& wp = worker_partitions_[i];
-      if (wp.mode != partition_.mode) {
-        return Status::error(
-            "worker " + std::to_string(i) + " finished in " +
-            run_mode_name(wp.mode) + " mode, coordinator in " +
-            run_mode_name(partition_.mode) +
-            " — the fallback verdict was supposed to be deterministic");
-      }
-      owned_sum += wp.owned_events;
-    }
-    if (owned_sum != partition_.node_events) {
-      return Status::error(
-          "partition accounting broken: workers own " +
-          std::to_string(owned_sum) + " of " +
-          std::to_string(partition_.node_events) +
-          " node-owner events (must tile exactly)");
-    }
   }
   return Status::ok();
 }
@@ -284,7 +231,6 @@ Status Coordinator::run(std::ostream& out) {
     bed_ = &bed;
     Status s = handshake(bed);
     if (!s.is_ok()) return s;
-    arm_closure_post_injection(bed, cfg_.inject_closure_post_at_us);
     bed.simulator().set_dist_driver(this);
     return Status::ok();
   };

@@ -43,16 +43,6 @@ struct EndpointConfig {
   /// WindowDone of this round index — simulates a shard host dying
   /// mid-window. 0 disables.
   std::uint64_t die_at_round = 0;
-  /// Execution mode: replica (verify only) or partitioned (divide the
-  /// node-owner work by ownership and ship cross-process descriptor posts
-  /// as data; non-serializable posts fall back loudly). All endpoints of a
-  /// fleet must request the same mode — the handshake enforces it.
-  RunMode mode = RunMode::kReplica;
-  /// Test knob: at this sim time (µs) schedule a node-owner event that
-  /// posts an opaque closure cross-process — the thing partitioned mode
-  /// cannot ship — to exercise the fallback path. Every replica arms it
-  /// identically. 0 disables.
-  std::int64_t inject_closure_post_at_us = 0;
 };
 
 /// Wire-level totals of one endpoint's run, summed over its links.
@@ -77,17 +67,6 @@ class Coordinator : public sim::DistDriver {
   /// is the number the acceptance criterion compares against 1-process runs.
   const RunSummary& summary() const { return summary_; }
   const DistStats& stats() const { return stats_; }
-  /// This endpoint's partitioned-execution accounting (mode it finished
-  /// in, shipped descriptor bytes, fallback record). kReplica stats when
-  /// the run was not partitioned.
-  const PartitionStats& partition() const { return partition_; }
-  /// Each worker's end-of-run PartitionStats, collected from the Finished
-  /// frames (indexed by worker id; empty for replica-mode runs). Their
-  /// owned_events sum exactly to this replica's node_events_run() — finish()
-  /// enforces it.
-  const std::vector<PartitionStats>& worker_partitions() const {
-    return worker_partitions_;
-  }
 
   bool window_open(std::uint64_t round, TimePoint t, TimePoint w) override;
   bool window_close(std::uint64_t round,
@@ -107,8 +86,6 @@ class Coordinator : public sim::DistDriver {
   WindowBounds granted_;  ///< bounds of the round currently executing
   RunSummary summary_;
   DistStats stats_;
-  PartitionStats partition_;
-  std::vector<PartitionStats> worker_partitions_;
 };
 
 }  // namespace omni::dist

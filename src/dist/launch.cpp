@@ -1,7 +1,7 @@
 #include "dist/launch.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -12,7 +12,6 @@
 
 #include "common/hash.h"
 #include "dist/worker.h"
-#include "net/testbed.h"
 #include "scenario/scenario.h"
 
 namespace omni::dist {
@@ -86,8 +85,6 @@ Result<FleetResult> run_local_fleet(const EndpointConfig& cfg) {
     res.report = os.str();
     res.summary = coord.summary();
     res.stats = coord.stats();
-    res.partition = coord.partition();
-    res.workers = coord.worker_partitions();
   }  // links close here: a child blocked in recv sees EOF and exits
 
   std::string child_problem;
@@ -118,7 +115,6 @@ Result<SingleResult> run_single(const std::string& scenario_text,
   // accumulated when the last instruction finished.
   hooks.on_complete = [&](net::Testbed& bed) -> Status {
     res.summary = collect_summary(bed, fnv1a64(os.str()));
-    res.node_events = bed.simulator().node_events_run();
     return Status::ok();
   };
   Status s = parsed.value()->run(os, threads, observe, /*resume_path=*/{},
@@ -128,25 +124,20 @@ Result<SingleResult> run_single(const std::string& scenario_text,
   return res;
 }
 
-Result<std::uint32_t> parse_worker_count(const std::string& text) {
+Result<std::uint32_t> parse_count(const std::string& text) {
   using R = Result<std::uint32_t>;
-  char* end = nullptr;
-  const long v = text.empty() ? 0 : std::strtol(text.c_str(), &end, 10);
-  if (text.empty() || end == text.c_str() || *end != '\0') {
-    return R::error("'" + text + "' is not a worker count");
+  const char* end = text.data() + text.size();
+  std::uint32_t v = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (stop != end ||
+      (ec != std::errc() && ec != std::errc::result_out_of_range)) {
+    return R::error("'" + text + "' is not a count");
   }
-  if (v < 1 || v > 64) {
-    return R::error("worker count " + text + " out of range [1, 64]");
+  if (ec != std::errc() || v < 1 || v > sim::Simulator::kMaxThreads) {
+    return R::error("count " + text + " out of range [1, " +
+                    std::to_string(sim::Simulator::kMaxThreads) + "]");
   }
-  return static_cast<std::uint32_t>(v);
-}
-
-Result<RunMode> parse_run_mode(const std::string& text) {
-  using R = Result<RunMode>;
-  if (text == "replica") return RunMode::kReplica;
-  if (text == "partitioned") return RunMode::kPartitioned;
-  return R::error("unknown mode '" + text +
-                  "' (expected 'replica' or 'partitioned')");
+  return v;
 }
 
 }  // namespace omni::dist

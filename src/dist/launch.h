@@ -23,14 +23,6 @@ struct FleetResult {
   std::string report;  ///< the coordinator replica's report stream
   RunSummary summary;  ///< whole-run summary every process agreed on
   DistStats stats;     ///< coordinator-side wire totals
-  /// Coordinator's partitioned-execution view: the mode the fleet finished
-  /// in (kFallback when a non-serializable post was hit) and its own
-  /// shipped-byte/fallback record. kReplica defaults otherwise.
-  PartitionStats partition;
-  /// Per-worker end-of-run accounting, indexed by worker id (empty for
-  /// replica-mode runs). owned_events across workers sums exactly to the
-  /// 1-process node-owner event count — the coordinator enforced it.
-  std::vector<PartitionStats> workers;
 };
 
 /// Fork cfg.nworkers workers, run the coordinator here, verify every round
@@ -44,9 +36,6 @@ Result<FleetResult> run_local_fleet(const EndpointConfig& cfg);
 struct SingleResult {
   std::string report;
   RunSummary summary;
-  /// Node-owner events the run executed (executed minus global) — the
-  /// total a partitioned fleet's per-worker owned_events must sum to.
-  std::uint64_t node_events = 0;
 };
 
 /// Run the scenario in-process (no protocol) with the identical summary
@@ -55,13 +44,11 @@ struct SingleResult {
 Result<SingleResult> run_single(const std::string& scenario_text,
                                 unsigned threads = 1, bool observe = false);
 
-/// Parse a --workers value. The whole string must be an integer in
-/// [1, 64]; anything else (empty, trailing junk, 0, absurd counts) is an
-/// error naming the offending text — the tool turns it into usage + exit 2.
-Result<std::uint32_t> parse_worker_count(const std::string& text);
-
-/// Parse a --mode value: "replica" or "partitioned". ("fallback" is an
-/// outcome the engine reports, not a mode a run can request.)
-Result<RunMode> parse_run_mode(const std::string& text);
+/// Parse a --workers or --threads value. The whole string must be a
+/// decimal integer in [1, sim::Simulator::kMaxThreads]; anything else
+/// (empty, signs, spaces, trailing junk, 0, overflowing or absurd counts)
+/// is an error naming the offending text — the tools turn it into usage
+/// + exit 2.
+Result<std::uint32_t> parse_count(const std::string& text);
 
 }  // namespace omni::dist

@@ -1,7 +1,6 @@
 #include "dist/protocol.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/hash.h"
 #include "net/testbed.h"
@@ -31,23 +30,12 @@ const char* frame_section_name(std::uint32_t id) {
     case kFSecPosts: return "posts";
     case kFSecSummary: return "summary";
     case kFSecError: return "error";
-    case kFSecDescPosts: return "desc-posts";
-    case kFSecPartition: return "partition";
     default: {
       static thread_local char buf[16];
       std::snprintf(buf, sizeof(buf), "sec%u", id);
       return buf;
     }
   }
-}
-
-const char* run_mode_name(RunMode mode) {
-  switch (mode) {
-    case RunMode::kReplica: return "replica";
-    case RunMode::kPartitioned: return "partitioned";
-    case RunMode::kFallback: return "fallback";
-  }
-  return "mode?";
 }
 
 const ContainerSpec& frame_spec() {
@@ -85,29 +73,6 @@ void write_posts(const Frame& f, ByteWriter& w) {
   }
 }
 
-// Companion to write_posts, index-aligned with it: every record's descriptor
-// body. Keeping this a separate section leaves the version-1 kFSecPosts
-// bytes untouched; closures write a bare kind 0.
-void write_desc_posts(const Frame& f, ByteWriter& w) {
-  w.var(f.posts.size());
-  for (const sim::PostRecord& p : f.posts) {
-    if (p.kind == sim::kEventClosure) {
-      w.var(sim::kEventClosure);
-    } else {
-      sim::encode_event_desc(w, p.kind, p.psize, p.payload);
-    }
-  }
-}
-
-void write_partition(const PartitionStats& p, ByteWriter& w) {
-  w.var(static_cast<std::uint32_t>(p.mode));
-  w.var(p.owned_events);
-  w.var(p.node_events);
-  w.var(p.desc_post_bytes);
-  w.var(p.fallback_round_plus1);
-  w.var(p.fallback_kind);
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
@@ -130,7 +95,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
       w.u64(f.handshake.seed);
       w.u64(f.handshake.scenario_hash);
       w.svar(f.handshake.lookahead_us);
-      w.var(static_cast<std::uint32_t>(f.handshake.mode));
       c.section(kFSecHandshake).bytes = w.take();
       break;
     }
@@ -146,9 +110,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
         ByteWriter pw;
         write_posts(f, pw);
         c.section(kFSecPosts).bytes = pw.take();
-        ByteWriter dw;
-        write_desc_posts(f, dw);
-        c.section(kFSecDescPosts).bytes = dw.take();
       }
       break;
     }
@@ -164,9 +125,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
       w.u64(f.summary.metrics_digest);
       w.u64(f.summary.state_digest);
       c.section(kFSecSummary).bytes = w.take();
-      ByteWriter pw;
-      write_partition(f.partition, pw);
-      c.section(kFSecPartition).bytes = pw.take();
       break;
     }
     case FrameType::kError: {
@@ -230,10 +188,6 @@ Result<Frame> decode_frame(std::span<const std::uint8_t> data) {
       f.handshake.seed = r.u64();
       f.handshake.scenario_hash = r.u64();
       f.handshake.lookahead_us = r.svar();
-      // Mode was appended after version 1 shipped: absent means replica.
-      if (r.remaining() > 0) {
-        f.handshake.mode = static_cast<RunMode>(r.var());
-      }
       if (!r.done()) return R::error(malformed(kFSecHandshake).message());
       break;
     }
@@ -268,30 +222,6 @@ Result<Frame> decode_frame(std::span<const std::uint8_t> data) {
           f.posts.push_back(p);
         }
         if (!pr.done()) return R::error(malformed(kFSecPosts).message());
-        // Descriptor bodies, index-aligned with the posts above. Optional
-        // (version-1 senders omit it), but when present it must cover every
-        // record exactly — a count mismatch means a damaged frame.
-        if (const Section* ds = c.find(kFSecDescPosts); ds != nullptr) {
-          ByteReader dr(ds->bytes);
-          const std::uint64_t dn = dr.var();
-          if (!dr.ok() || dn != f.posts.size()) {
-            return R::error(malformed(kFSecDescPosts).message());
-          }
-          for (std::uint64_t i = 0; i < dn && dr.ok(); ++i) {
-            // Peek the kind: closures are a bare 0, descriptors a full body.
-            ByteReader peek = dr;
-            if (peek.var() == sim::kEventClosure) {
-              dr.var();
-              continue;
-            }
-            sim::EventDesc d;
-            if (!sim::decode_event_desc(dr, d)) break;
-            f.posts[i].kind = d.kind;
-            f.posts[i].psize = d.psize;
-            std::memcpy(f.posts[i].payload, d.payload, sim::kEventPayloadMax);
-          }
-          if (!dr.done()) return R::error(malformed(kFSecDescPosts).message());
-        }
       }
       break;
     }
@@ -309,17 +239,6 @@ Result<Frame> decode_frame(std::span<const std::uint8_t> data) {
       f.summary.metrics_digest = r.u64();
       f.summary.state_digest = r.u64();
       if (!r.done()) return R::error(malformed(kFSecSummary).message());
-      // Partition stats are decode-optional (absent from version-1 frames).
-      if (const Section* ps = c.find(kFSecPartition); ps != nullptr) {
-        ByteReader pr(ps->bytes);
-        f.partition.mode = static_cast<RunMode>(pr.var());
-        f.partition.owned_events = pr.var();
-        f.partition.node_events = pr.var();
-        f.partition.desc_post_bytes = pr.var();
-        f.partition.fallback_round_plus1 = pr.var();
-        f.partition.fallback_kind = static_cast<std::uint32_t>(pr.var());
-        if (!pr.done()) return R::error(malformed(kFSecPartition).message());
-      }
       break;
     }
     case FrameType::kError: {
@@ -373,7 +292,6 @@ std::string describe_frame(const Frame& f) {
                     static_cast<unsigned long long>(f.handshake.scenario_hash),
                     static_cast<long long>(f.handshake.lookahead_us));
       out += buf;
-      out += std::string(" mode=") + run_mode_name(f.handshake.mode);
       break;
     case FrameType::kWindowGrant:
     case FrameType::kWindowDone:
@@ -385,12 +303,8 @@ std::string describe_frame(const Frame& f) {
                     static_cast<unsigned long long>(f.window.global_events));
       out += buf;
       if (f.type == FrameType::kWindowDone) {
-        std::size_t typed = 0;
-        for (const sim::PostRecord& p : f.posts) {
-          if (p.kind != sim::kEventClosure) ++typed;
-        }
-        std::snprintf(buf, sizeof(buf), " posts=%zu typed=%zu digest=%016llx",
-                      f.posts.size(), typed,
+        std::snprintf(buf, sizeof(buf), " posts=%zu digest=%016llx",
+                      f.posts.size(),
                       static_cast<unsigned long long>(posts_digest(f.posts)));
         out += buf;
       }
@@ -408,25 +322,6 @@ std::string describe_frame(const Frame& f) {
           static_cast<unsigned long long>(f.summary.state_digest),
           static_cast<unsigned long long>(f.summary.report_digest));
       out += buf;
-      if (f.partition.mode != RunMode::kReplica) {
-        std::snprintf(buf, sizeof(buf),
-                      " mode=%s owned=%llu/%llu desc_bytes=%llu",
-                      run_mode_name(f.partition.mode),
-                      static_cast<unsigned long long>(f.partition.owned_events),
-                      static_cast<unsigned long long>(f.partition.node_events),
-                      static_cast<unsigned long long>(
-                          f.partition.desc_post_bytes));
-        out += buf;
-        if (f.partition.fallback_round_plus1 != 0) {
-          std::snprintf(
-              buf, sizeof(buf), " fallback_round=%llu fallback_kind=%s",
-              static_cast<unsigned long long>(
-                  f.partition.fallback_round_plus1 - 1),
-              sim::event_kind_name(
-                  static_cast<sim::EventKind>(f.partition.fallback_kind)));
-          out += buf;
-        }
-      }
       break;
     case FrameType::kError:
       out += " \"" + f.error + "\"";
@@ -523,40 +418,6 @@ RunSummary collect_summary(net::Testbed& bed, std::uint64_t report_digest) {
   w.u64(s.metrics_digest);
   s.state_digest = fnv1a64(w.bytes());
   return s;
-}
-
-const sim::PostRecord* note_partition_window(
-    std::span<const sim::PostRecord> posts, std::uint32_t nworkers,
-    std::uint32_t self, std::uint64_t round, PartitionStats& stats) {
-  if (stats.mode == RunMode::kReplica) return nullptr;
-  const sim::PostRecord* offender = nullptr;
-  for (const sim::PostRecord& p : posts) {
-    if (owner_worker(p.src, nworkers) == owner_worker(p.dst, nworkers)) {
-      continue;  // stays on one process; never needs to travel
-    }
-    if (p.kind != sim::kEventClosure) {
-      if (owner_worker(p.src, nworkers) == self) {
-        stats.desc_post_bytes += p.psize;
-      }
-    } else if (stats.mode == RunMode::kPartitioned) {
-      // The detection is symmetric on purpose: it reads only the merged
-      // post list, so every replica falls back at the same round without
-      // any coordination frame.
-      stats.mode = RunMode::kFallback;
-      stats.fallback_round_plus1 = round + 1;
-      stats.fallback_kind = p.kind;
-      if (offender == nullptr) offender = &p;
-    }
-  }
-  return offender;
-}
-
-void arm_closure_post_injection(net::Testbed& bed, std::int64_t at_us) {
-  if (at_us <= 0) return;
-  sim::Simulator& sim = bed.simulator();
-  sim.ensure_owner(0);
-  sim.after_on(0, Duration::micros(at_us),
-               [&sim] { sim.after_global(Duration::zero(), [] {}); });
 }
 
 }  // namespace omni::dist

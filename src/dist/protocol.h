@@ -79,25 +79,9 @@ enum FrameSectionId : std::uint32_t {
   kFSecPosts = 4,      ///< WindowDone post records (delta-encoded)
   kFSecSummary = 5,    ///< Fin/Finished whole-run summary
   kFSecError = 6,      ///< Error message
-  kFSecDescPosts = 7,  ///< WindowDone: descriptor bodies, aligned with posts
-  kFSecPartition = 8,  ///< Finished: partitioned-execution stats
+  // Ids 7 and 8 are retired (docs/FORMATS.md §4) and never reused; decoders
+  // skip them like any other unknown section.
 };
-
-/// How a fleet executes each window. Replica mode (the PR-9 engine) runs
-/// every event everywhere and uses the wire only to prove agreement.
-/// Partitioned mode additionally divides the node-owner event work by
-/// ownership (owner % nworkers) and ships cross-owner descriptor posts as
-/// data; a window containing a cross-owner *closure* post — which cannot
-/// travel as data — drops the fleet loudly into kFallback (replica
-/// semantics, diagnostic naming the event kind).
-enum class RunMode : std::uint32_t {
-  kReplica = 0,
-  kPartitioned = 1,
-  kFallback = 2,  ///< partitioned run that hit a non-serializable post
-};
-
-/// Human name ("replica", "partitioned", "fallback").
-const char* run_mode_name(RunMode mode);
 
 /// Human name for a frame section id ("head", "posts", ...).
 const char* frame_section_name(std::uint32_t id);
@@ -115,9 +99,6 @@ struct Handshake {
   std::uint64_t seed = 0;
   std::uint64_t scenario_hash = 0;  ///< fnv1a64 of the scenario source
   std::int64_t lookahead_us = 0;    ///< conservative window span
-  /// Execution mode the fleet runs in. Appended to the handshake section;
-  /// decoders treat its absence as kReplica, so version-1 streams parse.
-  RunMode mode = RunMode::kReplica;
 };
 
 /// WindowGrant/WindowDone bounds and cumulative engine counters. A grant
@@ -148,26 +129,6 @@ struct RunSummary {
   friend bool operator==(const RunSummary&, const RunSummary&) = default;
 };
 
-/// Per-endpoint partitioned-execution accounting, attached to Fin/Finished
-/// frames (kFSecPartition). `owned_events` is the endpoint's share of the
-/// node-owner events under the ownership map (owner % nworkers) — across a
-/// fleet these sum exactly to the 1-process node-owner event count, which
-/// is the division-of-work proof the bench records. Decode-optional:
-/// version-1 frames simply carry none.
-struct PartitionStats {
-  RunMode mode = RunMode::kReplica;  ///< mode the endpoint finished in
-  std::uint64_t owned_events = 0;    ///< node-owner events this endpoint owns
-  std::uint64_t node_events = 0;     ///< all node-owner events it executed
-  std::uint64_t desc_post_bytes = 0; ///< descriptor payload bytes shipped
-  /// Round of the first non-serializable cross-owner post, plus one
-  /// (0 = the run never fell back).
-  std::uint64_t fallback_round_plus1 = 0;
-  std::uint32_t fallback_kind = 0;  ///< event kind of the offending post
-
-  friend bool operator==(const PartitionStats&, const PartitionStats&) =
-      default;
-};
-
 /// One decoded frame. Only the members implied by head.type are
 /// meaningful; encode_frame writes only those sections.
 struct Frame {
@@ -179,7 +140,6 @@ struct Frame {
   WindowBounds window;                  ///< WindowGrant/WindowDone
   std::vector<sim::PostRecord> posts;   ///< WindowDone
   RunSummary summary;                   ///< Fin/Finished
-  PartitionStats partition;             ///< Fin/Finished (decode-optional)
   std::string error;                    ///< Error
 };
 
@@ -201,28 +161,6 @@ inline std::uint32_t owner_worker(sim::OwnerId src, std::uint32_t nworkers) {
              ? kCoordinatorId
              : static_cast<std::uint32_t>(src % (nworkers == 0 ? 1 : nworkers));
 }
-
-/// Partitioned-mode bookkeeping both endpoint kinds run at window close,
-/// over the full merged post list (which every replica computes
-/// identically, so every replica reaches the same verdict with no extra
-/// wire traffic). Sums into `stats.desc_post_bytes` the payload bytes of
-/// cross-process descriptor posts whose source owner maps to `self` — the
-/// bytes this endpoint ships as data — and, on the first cross-process
-/// *closure* post while `stats.mode` is kPartitioned, drops the mode to
-/// kFallback recording the round and kind. Returns that offending post
-/// (pointer into `posts`) so the caller can diagnose, or nullptr. No-op in
-/// kReplica mode.
-const sim::PostRecord* note_partition_window(
-    std::span<const sim::PostRecord> posts, std::uint32_t nworkers,
-    std::uint32_t self, std::uint64_t round, PartitionStats& stats);
-
-/// Test knob behind EndpointConfig::inject_closure_post_at_us: schedule a
-/// node-owner event at `at_us` whose body posts an opaque closure to the
-/// global owner — the canonical non-serializable cross-process post. Every
-/// replica arms it identically so the fleet stays deterministic; a
-/// partitioned fleet falls back loudly, which is exactly what the fallback
-/// test wants to observe. at_us <= 0 disables.
-void arm_closure_post_injection(net::Testbed& bed, std::int64_t at_us);
 
 /// One-line human summary of a frame (`omnisnap inspect` on a captured
 /// .ofrs stream prints one per frame).

@@ -11,9 +11,7 @@
 namespace omni::dist {
 
 Worker::Worker(EndpointConfig cfg, Transport link)
-    : cfg_(std::move(cfg)), link_(std::move(link)) {
-  partition_.mode = cfg_.mode;
-}
+    : cfg_(std::move(cfg)), link_(std::move(link)) {}
 
 bool Worker::fail(const std::string& message) {
   if (error_.empty()) {
@@ -34,7 +32,7 @@ Status Worker::handshake(net::Testbed& bed) {
   hello.handshake =
       Handshake{kProtocolVersion, cfg_.worker_id, cfg_.nworkers,
                 bed.simulator().seed(), fnv1a64(cfg_.scenario_text),
-                bed.simulator().lookahead().as_micros(), cfg_.mode};
+                bed.simulator().lookahead().as_micros()};
   Status s = send_frame(link_, hello);
   if (!s.is_ok()) return s;
   Result<Frame> welcome = recv_frame(link_);
@@ -113,10 +111,6 @@ bool Worker::window_open(std::uint64_t round, TimePoint t, TimePoint w) {
 bool Worker::window_close(std::uint64_t round,
                           std::span<const sim::PostRecord> posts) {
   if (!error_.empty()) return false;
-  // Same verdict the coordinator reaches from the same merge; workers
-  // record it silently (the coordinator owns the diagnostic).
-  (void)note_partition_window(posts, cfg_.nworkers, cfg_.worker_id, round,
-                              partition_);
   if (cfg_.die_at_round != 0 && round >= cfg_.die_at_round) {
     // Test knob: vanish without a goodbye, exactly like a killed host. The
     // coordinator must detect the hangup, not wait forever.
@@ -174,9 +168,6 @@ Status Worker::finish(net::Testbed& bed) {
   finished.sender = cfg_.worker_id;
   finished.round = stats_.rounds;
   finished.summary = summary_;
-  partition_.owned_events = bed.simulator().owned_node_events();
-  partition_.node_events = bed.simulator().node_events_run();
-  finished.partition = partition_;
   return send_frame(link_, finished);
 }
 
@@ -197,10 +188,6 @@ Status Worker::run() {
     bed.set_artifact_writes(false);
     Status s = handshake(bed);
     if (!s.is_ok()) return s;
-    if (cfg_.mode != RunMode::kReplica) {
-      bed.simulator().set_partition_accounting(cfg_.worker_id, cfg_.nworkers);
-    }
-    arm_closure_post_injection(bed, cfg_.inject_closure_post_at_us);
     bed.simulator().set_dist_driver(this);
     return Status::ok();
   };

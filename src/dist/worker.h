@@ -38,9 +38,6 @@ class Worker : public sim::DistDriver {
   /// This replica's whole-run summary (valid after a successful run).
   const RunSummary& summary() const { return summary_; }
   const DistStats& stats() const { return stats_; }
-  /// Partitioned-execution accounting this worker reported in its Finished
-  /// frame (owned node events, shipped descriptor bytes, fallback record).
-  const PartitionStats& partition() const { return partition_; }
 
   bool window_open(std::uint64_t round, TimePoint t, TimePoint w) override;
   bool window_close(std::uint64_t round,
@@ -60,7 +57,6 @@ class Worker : public sim::DistDriver {
   WindowBounds granted_;  ///< bounds the coordinator granted this round
   RunSummary summary_;
   DistStats stats_;
-  PartitionStats partition_;
 };
 
 }  // namespace omni::dist

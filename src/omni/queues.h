@@ -134,10 +134,9 @@ class SimQueue {
   /// The wakeup is a queue-drain descriptor naming this queue's callback
   /// slot, not a `this`-capturing closure: same owner, delay, and scheduling
   /// order as the closure it replaced (so event sequences are untouched),
-  /// but the slab stores 4 payload bytes and — crucially for dist/ — a
-  /// cross-owner wake (a node-shard producer waking a global-pinned tech
-  /// queue, or vice versa) is a serializable post that partitioned workers
-  /// can ship instead of a closure they can only replicate.
+  /// but the slab stores 4 payload bytes instead of a capture, and a wake
+  /// still pending at a snapshot is recorded as data (kind + slot) rather
+  /// than as an opaque closure.
   void deferred_wake() {
     wake_pending_ = true;
     sim::OwnerId owner = pinned_ ? owner_ : sim_->current_owner();

@@ -88,8 +88,9 @@ class WifiMulticastTech final : public CommTechnology {
   void schedule_maintenance_scan(Duration delay);
   /// Descriptor-dispatched bodies: the disengaged probe tick and the
   /// engagement-flag sync are {u32 slot} descriptors (kEventDiscoveryTick /
-  /// kEventEngageSync) — cross-owner node→global posts that partitioned
-  /// workers can ship as data, where the closures they replaced could not.
+  /// kEventEngageSync): these node→global posts carry no capture, and a
+  /// snapshot records them as data where the closures they replaced were
+  /// opaque.
   void probe_fired();
   void engage_sync_fired();
   static void probe_thunk(void* ctx);

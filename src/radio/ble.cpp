@@ -354,8 +354,9 @@ void BleMedium::update_scan_state(BleRadio* radio) {
   // write to the barrier so concurrent senders keep reading a stable table.
   // Until then the radio keeps its old *eligibility* for capture trials;
   // actual delivery always revalidates against the receiver's live state.
-  // The defer is a {node, uid} descriptor: this is a node→global cross-owner
-  // post, and as data it can ship between partitioned workers.
+  // The defer is a {node, uid} descriptor: this node→global cross-owner post
+  // allocates nothing, and a snapshot taken before it fires records it as
+  // data.
   unsigned char p[sim::kEventPayloadMax];
   std::uint8_t n = sim::pack_u32s(p, {radio->node(), radio->uid_});
   sim.schedule_desc_on(sim::kGlobalOwner, Duration::zero(),

@@ -38,7 +38,7 @@ thread_local Simulator::ExecCtx Simulator::tls_ctx_;
 
 Simulator::Simulator(std::uint64_t seed, unsigned threads)
     : seed_(seed),
-      nshards_(std::max(1u, std::min(threads, 64u))),
+      nshards_(std::max(1u, std::min(threads, kMaxThreads))),
       shards_(nshards_),
       rng_(seed) {
   for (Shard& sh : shards_) sh.out.resize(nshards_ + 1);
@@ -276,16 +276,6 @@ void Simulator::dispatch_desc(const EventQueue::Popped& popped) {
   h.fn(h.ctx, *this, d);
 }
 
-void Simulator::set_partition_accounting(std::uint32_t worker,
-                                         std::uint32_t nworkers) {
-  const ExecCtx& c = tls_ctx_;
-  OMNI_CHECK_MSG(c.sim != this || c.shard == nullptr,
-                 "set_partition_accounting must run outside windows");
-  partition_worker_ = worker;
-  partition_nworkers_ = nworkers;
-  owned_events_ = 0;
-}
-
 bool Simulator::idle() const {
   if (!global_q_.empty()) return false;
   for (const Shard& sh : shards_) {
@@ -355,10 +345,6 @@ void Simulator::run_shard_window(Shard& sh, TimePoint window_end) {
       dispatch_desc(popped);
     }
     ++sh.executed;
-    if (partition_nworkers_ != 0 &&
-        popped.owner % partition_nworkers_ == partition_worker_) {
-      ++sh.owned;
-    }
   }
   c = ExecCtx{};
 }
@@ -422,8 +408,6 @@ std::uint64_t Simulator::run_windows(TimePoint window_end) {
   for (Shard& sh : shards_) {
     total += sh.executed;
     sh.executed = 0;
-    owned_events_ += sh.owned;
-    sh.owned = 0;
   }
   executed_ += total;
   return total;
@@ -454,9 +438,7 @@ void Simulator::merge_mailboxes() {
     mailbox_posts_ += merge_scratch_.size();
     if (dist_driver_ != nullptr) {
       for (const Post& p : merge_scratch_) {
-        PostRecord rec{p.at, p.src, p.seq, p.dst, p.kind, p.psize, {}};
-        std::memcpy(rec.payload, p.payload, kEventPayloadMax);
-        window_posts_.push_back(rec);
+        window_posts_.push_back(PostRecord{p.at, p.src, p.seq, p.dst});
       }
     }
     for (Post& p : merge_scratch_) {

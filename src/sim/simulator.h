@@ -64,20 +64,11 @@ namespace omni::sim {
 /// (time, src_owner, seq) merge order is a pure function of these tuples,
 /// so two replicas that observe equal record streams provably merged their
 /// mailboxes identically.
-///
-/// Posts made through schedule_desc_on additionally carry the descriptor
-/// itself (kind + payload): such a post is *complete* as data — a partitioned
-/// worker receiving the record can reconstruct and execute the event without
-/// having run the posting owner. Closure posts keep kind == kEventClosure and
-/// an empty payload; they can be verified but not shipped.
 struct PostRecord {
   TimePoint at;        ///< firing time (already clamped to >= window end)
   OwnerId src;         ///< posting owner
   std::uint64_t seq;   ///< src's mailbox sequence counter at post time
   OwnerId dst;         ///< destination owner (kGlobalOwner for global work)
-  EventKind kind = kEventClosure;  ///< descriptor kind; 0 = opaque closure
-  std::uint8_t psize = 0;
-  unsigned char payload[kEventPayloadMax] = {};
 
   friend bool operator==(const PostRecord&, const PostRecord&) = default;
 };
@@ -104,6 +95,9 @@ class DistDriver {
 
 class Simulator {
  public:
+  /// Shard cap: a larger `threads` request is clamped to this.
+  static constexpr unsigned kMaxThreads = 64;
+
   explicit Simulator(std::uint64_t seed = 1, unsigned threads = 1);
   ~Simulator();
   Simulator(const Simulator&) = delete;
@@ -187,9 +181,9 @@ class Simulator {
   /// and the same scheduling-order guarantees (both draw from one generation
   /// counter per queue), but the event is `psize` payload bytes tagged with
   /// `kind` instead of a closure — no capture allocation on schedule, direct
-  /// kind-dispatch on pop, and cross-owner posts travel as data (the
-  /// distributed engine can ship them between processes, which opaque
-  /// closures categorically cannot).
+  /// kind-dispatch on pop, and the pending event is data: snapshots record
+  /// its kind and payload (the `event-descs` section), which an opaque
+  /// closure cannot offer.
   EventHandle schedule_desc_on(OwnerId owner, Duration delay, EventKind kind,
                                const unsigned char* payload,
                                std::uint8_t psize);
@@ -323,20 +317,6 @@ class Simulator {
     return cross_shard_posts_;
   }
 
-  /// Partitioned-run accounting (dist/ --mode=partitioned): attribute every
-  /// node-owned event popped from a shard queue to the worker owning its
-  /// OwnerId (owner % nworkers, matching dist::owner_worker). Counters are
-  /// telemetry only — execution is unchanged — but they are exact: summed
-  /// over a fleet whose workers cover every residue class once,
-  /// owned_node_events() totals to node_events_run() of a 1-process run.
-  /// nworkers = 0 (the default) disables the per-pop test entirely.
-  void set_partition_accounting(std::uint32_t worker, std::uint32_t nworkers);
-  /// Node-owned events this process owned under the partition (0 when
-  /// accounting is off).
-  std::uint64_t owned_node_events() const { return owned_events_; }
-  /// All node-owned (shard-queue) events executed: executed minus global.
-  std::uint64_t node_events_run() const { return executed_ - global_events_; }
-
   /// Owner of the currently executing event (kGlobalOwner outside events).
   OwnerId current_owner() const;
 
@@ -419,7 +399,6 @@ class Simulator {
     EventQueue q;
     TimePoint now = TimePoint::origin();  ///< last executed event time
     std::uint64_t executed = 0;           ///< events run in the open window
-    std::uint64_t owned = 0;  ///< partition-owned subset of `executed`
     /// Outgoing posts, one mailbox per destination shard; back() = global.
     std::vector<std::vector<Post>> out;
   };
@@ -493,10 +472,6 @@ class Simulator {
   };
   std::vector<CallbackSlot> callback_slots_;
   std::uint32_t callback_free_head_ = 0xffffffffu;
-
-  std::uint32_t partition_worker_ = 0;
-  std::uint32_t partition_nworkers_ = 0;  ///< 0 = accounting off
-  std::uint64_t owned_events_ = 0;
 
   // Worker pool (lazily started on the first multi-shard window). Workers
   // sleep on epoch_; the driver publishes window_end_, arms running_workers_,

@@ -2,13 +2,15 @@
 //
 // Covers the dist/ stack at three altitudes:
 //   * frame codec: round trips, every truncation length, every byte
-//     flipped — failures must name the damaged section, never crash
+//     flipped — failures must name the damaged section, never crash —
+//     and retired section ids skipped like any unknown section
 //   * transport: torn frames, EOF inside the length prefix, short reads,
 //     and insane lengths over a real socketpair
-//   * fleet: a 2- and 3-process run of the golden tourist scenario must
-//     produce a byte-identical report and equal state digest vs the
-//     1-process reference (the ROADMAP acceptance criterion), a worker
-//     killed mid-window must fail loudly naming the round, and checkpoint
+//   * fleet: a 2-process run of the golden tourist scenario (coordinator
+//     at 1 and 2 threads) and a 3-process run must produce a
+//     byte-identical report and equal state digest vs the 1-process
+//     reference (the ROADMAP acceptance criterion), a worker killed
+//     mid-window must fail loudly naming the round, and checkpoint
 //     write failures must fail the run instead of being swallowed.
 #include <cstdint>
 #include <cstdio>
@@ -199,6 +201,52 @@ TEST(DistProtocol, FrameStreamParsesAndNamesBadFrameIndex) {
   EXPECT_NE(st.message().find("frame 1"), std::string::npos) << st.message();
 }
 
+// Section ids 7 and 8 once carried partitioned-mode data on WindowDone and
+// Fin/Finished frames. They are retired, so a decoder meeting one treats it
+// like any unknown section (FORMATS §2 rule 4): skipped when intact, still
+// checksummed when damaged.
+TEST(DistProtocol, RetiredSectionIdsAreSkippedButStillChecksummed) {
+  Frame fin;
+  fin.type = FrameType::kFin;
+  fin.round = 480;
+  fin.summary = RunSummary{1, 2, 3, 4, 5, 6, 7, 8};
+  const struct {
+    Frame frame;
+    std::uint32_t id;
+  } cases[] = {{sample_done(), 7}, {fin, 8}};
+  for (const auto& [frame, id] : cases) {
+    auto pc = codec::parse_container(encode_frame(frame), frame_spec());
+    ASSERT_TRUE(pc.is_ok()) << pc.error_message();
+    SectionContainer c = std::move(pc).value();
+    ASSERT_EQ(c.find(id), nullptr) << "encoder still writes section " << id;
+    c.section(id).bytes = {0x02, 0x00, 0x05, 0x2a};
+    const std::vector<std::uint8_t> bytes =
+        codec::serialize_container(c, frame_spec());
+
+    Result<Frame> back = decode_frame(bytes);
+    ASSERT_TRUE(back.is_ok()) << "section " << id << ": "
+                              << back.error_message();
+    EXPECT_EQ(back.value().type, frame.type);
+    EXPECT_EQ(back.value().round, frame.round);
+    EXPECT_TRUE(back.value().window == frame.window);
+    EXPECT_TRUE(back.value().summary == frame.summary);
+    ASSERT_EQ(back.value().posts.size(), frame.posts.size());
+    for (std::size_t i = 0; i < frame.posts.size(); ++i) {
+      EXPECT_TRUE(back.value().posts[i] == frame.posts[i]);
+    }
+
+    // The retired section is the last payload, right before the trailer.
+    std::vector<std::uint8_t> bad = bytes;
+    bad[bad.size() - 8 - 2] ^= 0x10;
+    Result<Frame> r = decode_frame(bad);
+    ASSERT_FALSE(r.is_ok()) << "flip inside section " << id << " parsed";
+    const std::string want = "checksum mismatch in section 'sec" +
+                             std::to_string(id) + "'";
+    EXPECT_NE(r.error_message().find(want), std::string::npos)
+        << r.error_message() << " should contain " << want;
+  }
+}
+
 TEST(DistProtocol, OwnerWorkerShardsAndRoutesGlobalToCoordinator) {
   EXPECT_EQ(owner_worker(sim::kGlobalOwner, 4), kCoordinatorId);
   EXPECT_EQ(owner_worker(0, 2), 0u);
@@ -311,17 +359,22 @@ TEST(DistFleet, TwoProcessRunMatchesSingleByteForByte) {
   auto single = run_single(scenario);
   ASSERT_TRUE(single.is_ok()) << single.error_message();
 
-  EndpointConfig cfg;
-  cfg.scenario_text = scenario;
-  cfg.nworkers = 2;
-  auto fleet = run_local_fleet(cfg);
-  ASSERT_TRUE(fleet.is_ok()) << fleet.error_message();
+  for (unsigned threads : {1u, 2u}) {
+    EndpointConfig cfg;
+    cfg.scenario_text = scenario;
+    cfg.nworkers = 2;
+    cfg.threads = threads;
+    auto fleet = run_local_fleet(cfg);
+    ASSERT_TRUE(fleet.is_ok()) << fleet.error_message();
 
-  // The ROADMAP acceptance criterion: byte-identical report, equal digest.
-  EXPECT_EQ(fleet.value().report, single.value().report);
-  EXPECT_EQ(diff_summaries(fleet.value().summary, single.value().summary),
-            "");
-  EXPECT_GT(fleet.value().stats.rounds, 0u);
+    // The ROADMAP acceptance criterion: byte-identical report, equal digest.
+    EXPECT_EQ(fleet.value().report, single.value().report)
+        << "threads " << threads;
+    EXPECT_EQ(diff_summaries(fleet.value().summary, single.value().summary),
+              "")
+        << "threads " << threads;
+    EXPECT_GT(fleet.value().stats.rounds, 0u);
+  }
 }
 
 TEST(DistFleet, ThreeProcessesMixedThreadCountsStillAgree) {
@@ -408,202 +461,20 @@ TEST(DistFleet, ScenarioMismatchIsRefusedAtHandshake) {
   EXPECT_EQ(refusal.value().type, FrameType::kError);
 }
 
-// --- Typed posts & partition stats on the wire -------------------------------
-
-// sample_done() with post 0 upgraded to a typed descriptor post (post 1
-// stays a closure), exercising the desc-posts companion section with a real
-// payload instead of two bare closure markers.
-Frame sample_typed_done() {
-  Frame f = sample_done();
-  f.posts[0].kind = sim::kEventTestA;
-  f.posts[0].psize = sim::pack_u32s(f.posts[0].payload, {11u, 22u, 33u});
-  return f;
-}
-
-TEST(DistProtocol, TypedPostsRoundTripKindAndPayload) {
-  const Frame f = sample_typed_done();
-  Result<Frame> back = decode_frame(encode_frame(f));
-  ASSERT_TRUE(back.is_ok()) << back.error_message();
-  const Frame& g = back.value();
-  ASSERT_EQ(g.posts.size(), 2u);
-  EXPECT_EQ(g.posts[0].kind, sim::kEventTestA);
-  EXPECT_EQ(g.posts[0].psize, f.posts[0].psize);
-  EXPECT_EQ(g.posts[1].kind, sim::kEventClosure);
-  for (std::size_t i = 0; i < f.posts.size(); ++i) {
-    EXPECT_TRUE(g.posts[i] == f.posts[i]) << "post " << i;
-  }
-}
-
-TEST(DistProtocol, TypedDoneSurvivesTheFuzzAndFlipsNameDescPosts) {
-  const std::vector<std::uint8_t> bytes = encode_frame(sample_typed_done());
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    Result<Frame> r =
-        decode_frame(std::span<const std::uint8_t>(bytes.data(), len));
-    ASSERT_FALSE(r.is_ok()) << "prefix of " << len << " bytes parsed";
-    EXPECT_FALSE(r.error_message().empty());
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<std::uint8_t> bad = bytes;
-    bad[i] ^= 0x40;
-    ASSERT_FALSE(decode_frame(bad).is_ok()) << "flip at byte " << i;
-  }
-  // A flip inside the descriptor-post payload must name that section.
-  SectionContainer c;
-  {
-    auto pc = codec::parse_container(bytes, frame_spec());
-    ASSERT_TRUE(pc.is_ok());
-    c = std::move(pc).value();
-  }
-  std::size_t off = 12 + 20 * c.sections.size();
-  bool covered_desc_posts = false;
-  for (const Section& sec : c.sections) {
-    if (sec.id == kFSecDescPosts) {
-      ASSERT_FALSE(sec.bytes.empty());
-      std::vector<std::uint8_t> bad = bytes;
-      bad[off + sec.bytes.size() / 2] ^= 0xff;
-      Result<Frame> r = decode_frame(bad);
-      ASSERT_FALSE(r.is_ok());
-      EXPECT_NE(r.error_message().find("section 'desc-posts'"),
-                std::string::npos)
-          << r.error_message();
-      covered_desc_posts = true;
-    }
-    off += sec.bytes.size();
-  }
-  EXPECT_TRUE(covered_desc_posts)
-      << "WindowDone frames must carry the desc-posts section";
-}
-
-TEST(DistProtocol, HandshakeModeAndPartitionStatsRoundTrip) {
-  Frame hello;
-  hello.type = FrameType::kHello;
-  hello.sender = 1;
-  hello.handshake = Handshake{kProtocolVersion, 1,      2,
-                              99,               0xfeed, 10000,
-                              RunMode::kPartitioned};
-  Result<Frame> h = decode_frame(encode_frame(hello));
-  ASSERT_TRUE(h.is_ok()) << h.error_message();
-  EXPECT_EQ(h.value().handshake.mode, RunMode::kPartitioned);
-
-  Frame fin;
-  fin.type = FrameType::kFinished;
-  fin.sender = 1;
-  fin.round = 9;
-  fin.summary = RunSummary{1, 2, 3, 4, 5, 6, 7, 8};
-  fin.partition = PartitionStats{RunMode::kFallback, 123, 456, 78,
-                                 /*fallback_round_plus1=*/5,
-                                 sim::kEventClosure};
-  Result<Frame> back = decode_frame(encode_frame(fin));
-  ASSERT_TRUE(back.is_ok()) << back.error_message();
-  EXPECT_TRUE(back.value().partition == fin.partition);
-  // The human rendering shows the partition story (mode + fallback round).
-  const std::string desc = describe_frame(back.value());
-  EXPECT_NE(desc.find("fallback"), std::string::npos) << desc;
-}
-
-// --- Partitioned fleet -------------------------------------------------------
-
-TEST(DistPartitioned, TwoWorkersMatchSingleAndOwnershipTiles) {
-  const std::string scenario =
-      read_repo_file("examples/scenarios/tourist.scn");
-  auto single = run_single(scenario);
-  ASSERT_TRUE(single.is_ok()) << single.error_message();
-
-  for (unsigned threads : {1u, 2u}) {
-    EndpointConfig cfg;
-    cfg.scenario_text = scenario;
-    cfg.nworkers = 2;
-    cfg.threads = threads;
-    cfg.mode = RunMode::kPartitioned;
-    auto fleet = run_local_fleet(cfg);
-    ASSERT_TRUE(fleet.is_ok()) << fleet.error_message();
-    const FleetResult& res = fleet.value();
-
-    // Same acceptance bar as replica mode: byte-identical report and digest.
-    EXPECT_EQ(res.report, single.value().report) << "threads " << threads;
-    EXPECT_EQ(res.summary.state_digest,
-              single.value().summary.state_digest);
-
-    // No closure crossed a process boundary on this workload, so the run
-    // must have stayed partitioned...
-    EXPECT_EQ(res.partition.mode, RunMode::kPartitioned);
-    ASSERT_EQ(res.workers.size(), 2u);
-    // ...and the workers' owned node events must tile the 1-process
-    // node-event total exactly (every node event owned by exactly one
-    // worker), reasonably evenly (each within 60/40 on tourist).
-    std::uint64_t owned = 0;
-    for (const PartitionStats& w : res.workers) {
-      EXPECT_EQ(w.mode, RunMode::kPartitioned);
-      owned += w.owned_events;
-    }
-    EXPECT_EQ(owned, single.value().node_events);
-    for (std::size_t i = 0; i < res.workers.size(); ++i) {
-      EXPECT_GE(res.workers[i].owned_events * 10, owned * 4)
-          << "worker " << i << " owns too little";
-      EXPECT_LE(res.workers[i].owned_events * 10, owned * 6)
-          << "worker " << i << " owns too much";
-    }
-  }
-}
-
-TEST(DistPartitioned, CrossProcessClosurePostFallsBackLoudly) {
-  EndpointConfig cfg;
-  cfg.scenario_text = kMiniScenario;
-  cfg.nworkers = 2;
-  cfg.mode = RunMode::kPartitioned;
-  // Plant a node-0 closure that posts cross-owner work mid-window: it
-  // cannot ship as data, so every replica must independently fall back.
-  cfg.inject_closure_post_at_us = 2000000;
-  auto fleet = run_local_fleet(cfg);
-  ASSERT_TRUE(fleet.is_ok()) << fleet.error_message();
-  const FleetResult& res = fleet.value();
-  EXPECT_EQ(res.partition.mode, RunMode::kFallback);
-  EXPECT_GT(res.partition.fallback_round_plus1, 0u);
-  EXPECT_EQ(res.partition.fallback_kind,
-            static_cast<std::uint32_t>(sim::kEventClosure));
-  // The verdict is computed from the merged post list every replica sees
-  // identically — all endpoints must agree without coordination frames.
-  ASSERT_EQ(res.workers.size(), 2u);
-  for (const PartitionStats& w : res.workers) {
-    EXPECT_EQ(w.mode, RunMode::kFallback);
-    EXPECT_EQ(w.fallback_round_plus1, res.partition.fallback_round_plus1);
-  }
-}
-
-TEST(DistPartitioned, ReplicaModeRunsKeepPartitionAccountingOff) {
-  EndpointConfig cfg;
-  cfg.scenario_text = kMiniScenario;
-  cfg.nworkers = 2;
-  auto fleet = run_local_fleet(cfg);
-  ASSERT_TRUE(fleet.is_ok()) << fleet.error_message();
-  EXPECT_EQ(fleet.value().partition.mode, RunMode::kReplica);
-  for (const PartitionStats& w : fleet.value().workers) {
-    EXPECT_EQ(w.mode, RunMode::kReplica);
-    EXPECT_EQ(w.owned_events, 0u);
-  }
-}
-
 // --- CLI argument parsing ----------------------------------------------------
 
 TEST(DistLaunch, WorkerCountParserRejectsGarbage) {
-  EXPECT_TRUE(parse_worker_count("1").is_ok());
-  EXPECT_EQ(parse_worker_count("64").value(), 64u);
-  for (const char* bad : {"0", "65", "", "2x", "-1", "abc"}) {
-    auto r = parse_worker_count(bad);
+  EXPECT_TRUE(parse_count("1").is_ok());
+  EXPECT_EQ(parse_count("64").value(), 64u);
+  // Junk suffixes, signs, spaces, counts past the shard cap and values
+  // that overflow 32 bits are refused, never truncated, wrapped or clamped.
+  for (const char* bad : {"0", "65", "100", "", "2x", "-1", "abc", "+2", " 2",
+                          "2 ", "4294967297", "99999999999999999999"}) {
+    auto r = parse_count(bad);
     EXPECT_FALSE(r.is_ok()) << "'" << bad << "' accepted";
   }
 }
 
-TEST(DistLaunch, RunModeParserAcceptsOnlyRequestableModes) {
-  ASSERT_TRUE(parse_run_mode("replica").is_ok());
-  EXPECT_EQ(parse_run_mode("replica").value(), RunMode::kReplica);
-  EXPECT_EQ(parse_run_mode("partitioned").value(), RunMode::kPartitioned);
-  // "fallback" is an outcome, not a requestable mode.
-  for (const char* bad : {"", "fallback", "bogus", "Replica"}) {
-    auto r = parse_run_mode(bad);
-    EXPECT_FALSE(r.is_ok()) << "'" << bad << "' accepted";
-  }
-}
 
 // --- Checkpoint / resume error propagation ----------------------------------
 
