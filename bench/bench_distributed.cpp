@@ -108,9 +108,10 @@ int main(int argc, char** argv) {
 
   bool all_match = true;
   for (std::uint32_t workers : worker_counts) {
-    // Mixed thread counts on purpose: the coordinator replica runs the
-    // parallel engine while workers run single-threaded, proving the
-    // protocol digests are thread-count-invariant *across processes*.
+    // Two thread counts on purpose: every process of the fleet runs its
+    // replica at `threads`, and both fleets must match the 1-process
+    // digest, proving the protocol is thread-count-invariant *across
+    // processes*.
     for (unsigned threads : {1u, 2u}) {
       dist::EndpointConfig cfg;
       cfg.scenario_text = scenario;

@@ -18,10 +18,9 @@
 //     }
 //
 // A null scope (the default — observability is opt-in per Testbed) costs one
-// predicted branch per site; compiling with -DOMNI_OBS_DISABLED removes the
-// sites entirely (OMNI_SCOPE expands to a null literal). Recording never
-// feeds back into simulation decisions, never draws simulator RNG, and never
-// schedules events, so instrumented runs are bit-identical to bare ones.
+// predicted branch per site. Recording never feeds back into simulation
+// decisions, never draws simulator RNG, and never schedules events, so
+// instrumented runs are bit-identical to bare ones.
 #pragma once
 
 #include <cstdint>
@@ -265,11 +264,5 @@ class Omniscope {
 
 }  // namespace omni::obs
 
-/// Instrumentation sites fetch the scope through this macro so a build with
-/// -DOMNI_OBS_DISABLED compiles them out entirely (the null literal makes
-/// every `if (sc && ...)` block dead code).
-#if defined(OMNI_OBS_DISABLED)
-#define OMNI_SCOPE(sim) (static_cast<::omni::obs::Omniscope*>(nullptr))
-#else
+/// Instrumentation sites fetch the scope through this macro.
 #define OMNI_SCOPE(sim) ((sim).scope())
-#endif

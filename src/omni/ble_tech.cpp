@@ -185,13 +185,9 @@ void BleTech::on_radio_receive(const BleAddress& from, const Bytes& frame) {
                                    *packed)) {
     return;
   }
-  // Fallback: copy the view into a recycled queue slot (reusing drained
-  // packets' buffers keeps this allocation-free too).
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kBle;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(packed->begin(), packed->end());
-  });
+  // Fallback: the queued packet owns a copy of the view.
+  queues_.receive->push(ReceivedPacket{Technology::kBle, LowLevelAddress{from},
+                                       Bytes(packed->begin(), packed->end())});
 }
 
 void BleTech::respond(const SendRequest& request, bool success,

@@ -130,12 +130,12 @@ struct ReceivedPacket {
 /// already executes in the receiving manager's owner context — the common
 /// case for node-local radios, whose queue wakeup would drain inline at the
 /// same instant anyway — it may hand the unframed link payload straight to
-/// the sink, skipping the copy into a queue slot. receive_inline returns
+/// the sink, skipping the copy into a queued packet. receive_inline returns
 /// false when the synchronous path is unavailable (wrong execution context,
 /// re-entrancy, an undrained backlog whose FIFO order must be preserved);
-/// the caller must then fall back to queues.receive->produce(). Taking the
+/// the caller must then fall back to queues.receive->push(). Taking the
 /// fast path never changes processing *order*: it is used exactly when the
-/// produce() path would have invoked the consumer synchronously.
+/// push() path would have invoked the consumer synchronously.
 class InlinePacketSink {
  public:
   virtual ~InlinePacketSink() = default;

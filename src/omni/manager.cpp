@@ -231,7 +231,7 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
 
 void OmniManager::note_status_flap(TechSlot& s) {
   const auto& sh = options_.self_healing;
-  if (!sh.enabled || !running_) return;
+  if (!running_) return;
   TimePoint now = sim_.now();
   if (s.flaps == 0 || now - s.flap_window_start > sh.flap_window) {
     s.flap_window_start = now;
@@ -280,8 +280,7 @@ void OmniManager::note_status_flap(TechSlot& s) {
 }
 
 void OmniManager::schedule_beacon_rearm(TechSlot& s) {
-  const auto& sh = options_.self_healing;
-  if (!sh.enabled || !running_ || s.beacon_rearm.pending()) return;
+  if (!running_ || s.beacon_rearm.pending()) return;
   ++stats_.beacon_rearms;
   if (obs::Omniscope* sc = scope_of(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kRetry, s.beacon_failures, 0,
@@ -303,8 +302,9 @@ void OmniManager::start() {
   OMNI_CHECK_MSG(!slots_.empty(), "no technologies registered");
   running_ = true;
 
-  receive_queue_.set_consumer([this] { drain_receive_queue(); });
-  shared_receive_queue_.set_consumer([this] { drain_shared_receive_queue(); });
+  receive_queue_.set_consumer([this] { drain_receive(receive_queue_); });
+  shared_receive_queue_.set_consumer(
+      [this] { drain_receive(shared_receive_queue_); });
   response_queue_.set_consumer([this] { drain_response_queue(); });
 
   // Enable every technology and collect low-level addresses for the beacon.
@@ -762,11 +762,9 @@ void OmniManager::schedule_peer_sweep() {
   // self-reschedules before doing its work, so at every shared instant its
   // sequence number stays below the maintenance tick's — inductively
   // preserving the expire-then-adapt order the old combined tick had.
-  Duration interval = options_.peer_sweep_interval > Duration::zero()
-                          ? options_.peer_sweep_interval
-                          : options_.probe_interval;
-  peer_sweep_event_ = sim_.schedule_slot_on(
-      options_.owner, interval, sim::kEventMgrPeerSweep, peer_sweep_slot_);
+  peer_sweep_event_ =
+      sim_.schedule_slot_on(options_.owner, options_.probe_interval,
+                            sim::kEventMgrPeerSweep, peer_sweep_slot_);
 }
 
 void OmniManager::peer_sweep_thunk(void* ctx) {
@@ -821,36 +819,16 @@ void OmniManager::maintenance_tick() {
 
 // --- Receive path ------------------------------------------------------------
 
-void OmniManager::drain_receive_queue() {
-  // Batch drain: one queue swap per tick instead of one pop per packet
-  // (and, for the concurrent deployment queue, one lock per tick). The
-  // outer loop catches packets enqueued while this batch was processed;
-  // the scratch buffer ping-pongs with the queue's, so steady-state
-  // draining allocates nothing.
+void OmniManager::drain_receive(SimQueue<ReceivedPacket>& queue) {
+  // Batch drain: one queue swap per wakeup instead of one pop per packet.
+  // The outer loop catches packets enqueued while a batch was processed.
+  // Each batch, payload buffers included, is released once handled, so no
+  // large data payload outlives its reception. The shared-medium queue
+  // drains in global context (see shared_receive_queue_); handle_packet
+  // tolerates both, as windows and the global phase never overlap in time.
   in_receive_ = true;
-  while (!receive_queue_.empty()) {
-    std::size_t n = receive_queue_.drain_into(receive_scratch_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ReceivedPacket& pkt = receive_scratch_[i];
-      handle_packet(pkt.tech, pkt.from, pkt.packed);
-    }
-  }
-  in_receive_ = false;
-  // Deliberately no clear(): the processed packets swap back into the queue
-  // as recycled slots, whose payload buffers the technologies refill in
-  // place — the receive path allocates nothing in steady state.
-}
-
-void OmniManager::drain_shared_receive_queue() {
-  // Same batch-drain contract as drain_receive_queue, but running in global
-  // context (see shared_receive_queue_). handle_packet tolerates both
-  // contexts; its scratch members are safe because windows and the global
-  // phase are mutually exclusive in time.
-  in_receive_ = true;
-  while (!shared_receive_queue_.empty()) {
-    std::size_t n = shared_receive_queue_.drain_into(shared_receive_scratch_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ReceivedPacket& pkt = shared_receive_scratch_[i];
+  while (!queue.empty()) {
+    for (const ReceivedPacket& pkt : queue.drain()) {
       handle_packet(pkt.tech, pkt.from, pkt.packed);
     }
   }
@@ -861,7 +839,7 @@ bool OmniManager::receive_inline(Technology tech, const LowLevelAddress& from,
                                  std::span<const std::uint8_t> packed) {
   // Mirror SimQueue::wake()'s inline-drain condition exactly (pinned,
   // non-global owner, producing context == owner): the fast path fires only
-  // when the produce() path would have run the consumer synchronously right
+  // when the push() path would have run the consumer synchronously right
   // here, so taking it changes nothing about processing order. A non-empty
   // queue means an earlier cross-context push is still waiting on its
   // deferred wakeup — jumping ahead of it would break FIFO, so fall back.
@@ -924,116 +902,12 @@ void OmniManager::memo_grow() {
   }
 }
 
-void OmniManager::beacon_refresh(Technology tech, const LowLevelAddress& from,
-                                 BeaconMemoEntry& e) {
-  // A byte-identical repeat of a beacon we already decoded from this
-  // (technology, link address): replay the recorded effects instead of
-  // unsealing and decoding. Effect order mirrors the slow path exactly —
-  // packet counter, engagement trigger (which reads the peer table *before*
-  // the direct sighting lands, same as the deferred observe below), beacon
-  // counters, then the batched observe_all over a sighting batch rebuilt
-  // from the memoized addresses by the same rules the decoder applies. The
-  // refresh draws no RNG and schedules nothing the slow path would not
-  // (engage() is the same code either way), so determinism is preserved by
-  // the slow path's own argument.
-  peers_.prefetch_pinned(e.peer_idx);  // overlap with the work below
-  ++stats_.packets_received;
-  TimePoint now = sim_.now();
-  if (options_.enable_engagement &&
-      (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(e.source, tech, now,
-                                         options_.peer_ttl))) {
-    TechSlot* s = slot(tech);
-    if (s != nullptr && s->up && s->supports_context && !s->tech->engaged()) {
-      engage(tech);
-    }
-  }
-  ++stats_.beacons_received;
-  ++stats_.beacon_decode_skips;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
-    sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
-                      obs::Cat::kBeaconRx, e.source.value);
-    sc->count_on(options_.owner, sc->core().beacon_decode_skips);
-  }
-  // Same construction as the slow path's kAddressBeacon arm (keep in sync).
-  const bool refresh_needed = tech == Technology::kWifiMulticast;
-  std::array<Sighting, 4> sightings;
-  std::size_t n = 0;
-  sightings[n++] = Sighting{tech, from, refresh_needed};
-  if (!e.b_ble.is_zero() &&
-      !(tech == Technology::kBle &&
-        std::holds_alternative<BleAddress>(from) &&
-        std::get<BleAddress>(from) == e.b_ble)) {
-    sightings[n++] = Sighting{Technology::kBle, LowLevelAddress{e.b_ble},
-                              /*requires_refresh=*/false};
-  }
-  if (!e.b_mesh.is_zero()) {
-    sightings[n++] = Sighting{Technology::kWifiUnicast,
-                              LowLevelAddress{e.b_mesh}, refresh_needed};
-    sightings[n++] = Sighting{Technology::kWifiMulticast,
-                              LowLevelAddress{e.b_mesh}, refresh_needed};
-  }
-  // Refresh through the entry's peer-table pin when it is still valid —
-  // identical writes to observe_all, minus the bucket probe. Stale pin:
-  // full observe, then re-pin.
-  if (!peers_.refresh_pinned(e.peer_idx, e.peer_gen, e.source,
-                             std::span(sightings.data(), n), now)) {
-    peers_.observe_all(e.source, std::span(sightings.data(), n), now);
-    e.peer_idx = peers_.index_of(e.source);
-    e.peer_gen = peers_.generation();
-    // The stale-pin fallback can re-insert an expired peer.
-    discovery_note_inserts();
-  }
-}
-
-void OmniManager::context_refresh(Technology tech, const LowLevelAddress& from,
-                                  std::size_t idx) {
-  BeaconMemoEntry& e = memo_[idx];
-  // Byte-identical repeat of a context beacon: replay the slow path's
-  // effects in its exact order — packet counter, direct sighting (recorded
-  // *before* the engagement trigger for non-address-beacon kinds), the
-  // trigger itself, context counters, then the application callbacks with
-  // the cached decoded payload. Same determinism argument as
-  // beacon_refresh.
-  peers_.prefetch_pinned(e.peer_idx);  // overlap with the sighting setup
-  ++stats_.packets_received;
-  TimePoint now = sim_.now();
-  const bool refresh_needed = tech == Technology::kWifiMulticast;
-  const Sighting direct{tech, from, refresh_needed};
-  if (!peers_.refresh_pinned(e.peer_idx, e.peer_gen, e.source,
-                             std::span(&direct, 1), now)) {
-    peers_.observe(e.source, tech, from, now, refresh_needed);
-    e.peer_idx = peers_.index_of(e.source);
-    e.peer_gen = peers_.generation();
-    // The stale-pin fallback can re-insert an expired peer.
-    discovery_note_inserts();
-  }
-  if (options_.enable_engagement &&
-      (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(e.source, tech, now,
-                                         options_.peer_ttl))) {
-    TechSlot* s = slot(tech);
-    if (s != nullptr && s->up && s->supports_context && !s->tech->engaged()) {
-      engage(tech);
-    }
-  }
-  ++stats_.context_received;
-  ++stats_.beacon_decode_skips;
-  const Bytes* payload;
-  if (e.c_payload_len <= kMemoInlinePayload) {
-    memo_payload_scratch_.assign(e.c_inline.data(),
-                                 e.c_inline.data() + e.c_payload_len);
-    payload = &memo_payload_scratch_;
-  } else {
-    payload = &memo_spill_[idx];
-  }
-  if (obs::Omniscope* sc = scope_of(sim_)) {
-    sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                      obs::Cat::kContextRx, e.source.value,
-                      payload->size());
-    sc->count_on(options_.owner, sc->core().beacon_decode_skips);
-  }
-  for (const auto& cb : on_context_) cb(e.source, *payload);
+const Bytes& OmniManager::memo_payload(std::size_t idx) {
+  const BeaconMemoEntry& e = memo_[idx];
+  if (e.c_payload_len > kMemoInlinePayload) return memo_spill_[idx];
+  memo_payload_scratch_.assign(e.c_inline.data(),
+                               e.c_inline.data() + e.c_payload_len);
+  return memo_payload_scratch_;
 }
 
 void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
@@ -1042,10 +916,10 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   std::uint64_t incoming_digest = 0;
   if (memo_enabled_) {
     // Beacon fast path: a cached frame from this exact (tech, link sender)
-    // whose length and 64-bit digest match skips decryption, decode, and
-    // sighting construction — the decoded effects are replayed from the
-    // memo. The digest is trusted (no byte-verify); see DESIGN.md "Beacon
-    // fast path" for the collision stance.
+    // whose length and 64-bit digest match skips decryption and decode; its
+    // effect function runs on the memoized fields instead. The digest is
+    // trusted (no byte-verify); see DESIGN.md "Beacon fast path" for the
+    // collision stance.
     std::size_t idx = kMemoNone;
     if (!memo_.empty()) {
       const std::uint64_t key = memo_key(tech, from);
@@ -1061,186 +935,243 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
     if (idx != kMemoNone) {
       BeaconMemoEntry& e = memo_[idx];
       const std::size_t len = packed.size();
-      if (e.b_size == len && e.b_digest == incoming_digest) {
-        beacon_refresh(tech, from, e);
-        return;
-      }
-      if (e.c_size == len && e.c_digest == incoming_digest) {
-        context_refresh(tech, from, idx);
+      const bool beacon = e.b_size == len && e.b_digest == incoming_digest;
+      if (beacon || (e.c_size == len && e.c_digest == incoming_digest)) {
+        peers_.prefetch_pinned(e.peer_idx);  // overlap with the work below
+        ++stats_.packets_received;
+        ++stats_.beacon_decode_skips;
+        if (obs::Omniscope* sc = scope_of(sim_)) {
+          sc->count_on(options_.owner, sc->core().beacon_decode_skips);
+        }
+        if (beacon) {
+          receive_address_beacon(tech, from, e.source, e.b_ble, e.b_mesh, {},
+                                 &e);
+        } else {
+          receive_context(tech, from, e.source, memo_payload(idx), {}, &e);
+        }
         return;
       }
     }
   }
   std::span<const std::uint8_t> wire = packed;
+  std::optional<Bytes> unsealed;
   if (BeaconCipher::looks_sealed(wire)) {
     // Encrypted beacon (paper §3.4): without the out-of-band key the packet
-    // is opaque — the device effectively does not exist to us. Decrypt into
-    // the reused unseal buffer (handle_packet never runs re-entrantly), so
-    // the sealed-beacon fast path allocates nothing in steady state.
-    if (!cipher_ || !cipher_->open_into(wire, unseal_scratch_)) {
+    // is opaque — the device effectively does not exist to us.
+    if (cipher_) unsealed = cipher_->open(wire);
+    if (!unsealed) {
       ++stats_.sealed_drops;
       return;
     }
-    wire = unseal_scratch_;
+    wire = *unsealed;
   }
-  // Decode into a reused scratch struct so the payload buffer survives
-  // across packets (handle_packet never runs re-entrantly: packets only
-  // arrive through the queue this drains).
-  Status decoded = PackedStruct::decode_into(wire, decode_scratch_);
+  Result<PackedStruct> decoded = PackedStruct::decode(wire);
   if (!decoded.is_ok()) {
     OMNI_WARN(sim_.now(), kTag, "dropping undecodable packet on %s: %s",
-              to_string(tech).c_str(), decoded.message().c_str());
+              to_string(tech).c_str(), decoded.error_message().c_str());
     return;
   }
-  const PackedStruct& p = decode_scratch_;
+  const PackedStruct& p = decoded.value();
   if (p.source == self_) return;  // our own broadcast echoed back
   ++stats_.packets_received;
 
-  if (p.kind == PacketKind::kRelayed) {
-    // The link-level sender is the relayer, not `source`: no direct
-    // mapping may be recorded.
-    handle_relayed_packet(p);
-    return;
-  }
-
-  TimePoint now = sim_.now();
-  // Direct mapping: the packet physically arrived from this address on this
-  // technology. Multicast-derived mappings need re-validation before data
-  // transfer; ND-integrated (BLE) and connection-proven (unicast) ones do
-  // not. For an address beacon the direct mapping joins the batched
-  // observe_all below — one table probe for the whole sighting. Deferring
-  // it past the engagement trigger is safe: the trigger consults only
-  // strictly lower-energy mappings, which a same-technology observation
-  // never adds.
-  bool refresh_needed = tech == Technology::kWifiMulticast;
-  if (p.kind != PacketKind::kAddressBeacon) {
-    peers_.observe(p.source, tech, from, now, refresh_needed);
-  }
-
-  // Engagement trigger: an unknown peer (no lower-energy reachability)
-  // appeared on a non-engaged context technology. BLE is the lowest energy
-  // rank, so for BLE packets the reachability probe is statically false.
-  if (options_.enable_engagement &&
-      (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(p.source, tech, now,
-                                         options_.peer_ttl))) {
-    TechSlot* s = slot(tech);
-    if (s != nullptr && s->up && s->supports_context &&
-        !s->tech->engaged()) {
-      engage(tech);
-    }
-  }
-
-  // Multi-hop context sharing: eligible packets are re-broadcast with a
-  // decremented hop budget.
-  if (options_.context_relay_hops > 0 &&
-      (p.kind == PacketKind::kContext ||
-       p.kind == PacketKind::kAddressBeacon)) {
-    maybe_relay(p, wire);
-  }
-
+  // Multi-hop context sharing re-broadcasts beacons and contexts. Relaying
+  // turns the memo off, so only decoded frames ever carry a relay span.
+  const std::span<const std::uint8_t> relay =
+      options_.context_relay_hops > 0 ? wire : std::span<const std::uint8_t>{};
+  // Memoize (length, digest) of the raw frame as it arrived (sealed or not)
+  // with the decoded fields, so a byte-identical repeat skips the decrypt
+  // and decode. A sender interleaves both kinds on one link address, so the
+  // two ways share `source`: a link address announcing a *different* omni
+  // address drops the other way. The stored entry is handed to the effect
+  // function unpinned; its full observe pins it.
+  const bool memoize = memo_enabled_ && packed.size() <= 0xffff;
+  const auto frame_size = static_cast<std::uint16_t>(packed.size());
   switch (p.kind) {
     case PacketKind::kAddressBeacon: {
-      ++stats_.beacons_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
-                          obs::Cat::kBeaconRx, p.source.value);
+      BeaconMemoEntry* pin = nullptr;
+      if (memoize) {
+        pin = &memo_[memo_insert(memo_key(tech, from))];
+        if (pin->c_size != 0 && pin->source != p.source) pin->c_size = 0;
+        pin->b_digest = incoming_digest;
+        pin->b_size = frame_size;
+        pin->b_ble = p.beacon.ble;
+        pin->b_mesh = p.beacon.mesh;
+        pin->source = p.source;
+        pin->peer_idx = PeerTable::kNoIndex;
       }
-      // The beacon carries the peer's full address map: record the direct
-      // mapping plus reachability for every technology it names, in one
-      // batched table probe. Mappings delivered over integrated low-level
-      // ND (BLE) are immediately usable; those delivered over
-      // application-level multicast still need the re-validation ritual.
-      // The BLE self-mapping duplicate — a beacon heard over BLE from the
-      // very address it advertises — is covered by the direct sighting.
-      std::array<Sighting, 4> sightings;
-      std::size_t n = 0;
-      sightings[n++] = Sighting{tech, from, refresh_needed};
-      if (!p.beacon.ble.is_zero() &&
-          !(tech == Technology::kBle &&
-            std::holds_alternative<BleAddress>(from) &&
-            std::get<BleAddress>(from) == p.beacon.ble)) {
-        sightings[n++] = Sighting{Technology::kBle,
-                                  LowLevelAddress{p.beacon.ble},
-                                  /*requires_refresh=*/false};
-      }
-      if (!p.beacon.mesh.is_zero()) {
-        sightings[n++] = Sighting{Technology::kWifiUnicast,
-                                  LowLevelAddress{p.beacon.mesh},
-                                  refresh_needed};
-        sightings[n++] = Sighting{Technology::kWifiMulticast,
-                                  LowLevelAddress{p.beacon.mesh},
-                                  refresh_needed};
-      }
-      peers_.observe_all(p.source, std::span(sightings.data(), n), now);
-      if (memo_enabled_ && packed.size() <= 0xffff) {
-        // Memoize (length, digest) of the raw frame as it arrived (sealed
-        // or not) plus the advertised addresses, so a byte-identical repeat
-        // takes beacon_refresh without another decrypt/decode. The entry's
-        // source is shared with the context way: a link address announcing
-        // a *different* omni address drops the stale context way.
-        BeaconMemoEntry& e = memo_[memo_insert(memo_key(tech, from))];
-        if (e.c_size != 0 && e.source != p.source) e.c_size = 0;
-        e.b_digest = incoming_digest;
-        e.b_size = static_cast<std::uint16_t>(packed.size());
-        e.source = p.source;
-        e.b_ble = p.beacon.ble;
-        e.b_mesh = p.beacon.mesh;
-        e.peer_idx = peers_.index_of(p.source);
-        e.peer_gen = peers_.generation();
-      }
+      receive_address_beacon(tech, from, p.source, p.beacon.ble,
+                             p.beacon.mesh, relay, pin);
       break;
     }
-    case PacketKind::kContext:
-      ++stats_.context_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                          obs::Cat::kContextRx, p.source.value,
-                          p.payload.size());
-      }
-      for (const auto& cb : on_context_) cb(p.source, p.payload);
-      if (memo_enabled_ && packed.size() <= 0xffff &&
-          p.payload.size() <= 0xffff) {
-        // Context beacons repeat byte-identically every interval just like
-        // address beacons; cache (length, digest) plus the decoded payload
-        // so the repeats replay the callbacks without another decode. Same
-        // shared-source rule as the beacon way, mirrored.
-        std::size_t idx = memo_insert(memo_key(tech, from));
-        BeaconMemoEntry& e = memo_[idx];
-        if (e.b_size != 0 && e.source != p.source) e.b_size = 0;
-        e.c_digest = incoming_digest;
-        e.c_size = static_cast<std::uint16_t>(packed.size());
-        e.c_payload_len = static_cast<std::uint16_t>(p.payload.size());
+    case PacketKind::kContext: {
+      BeaconMemoEntry* pin = nullptr;
+      if (memoize) {
+        const std::size_t idx = memo_insert(memo_key(tech, from));
+        pin = &memo_[idx];
+        if (pin->b_size != 0 && pin->source != p.source) pin->b_size = 0;
+        pin->c_digest = incoming_digest;
+        pin->c_size = frame_size;
+        pin->c_payload_len = static_cast<std::uint16_t>(p.payload.size());
         if (p.payload.size() <= kMemoInlinePayload) {
-          std::copy(p.payload.begin(), p.payload.end(), e.c_inline.begin());
+          std::copy(p.payload.begin(), p.payload.end(), pin->c_inline.begin());
         } else {
           memo_spill_[idx] = p.payload;
         }
-        e.source = p.source;
-        e.peer_idx = peers_.index_of(p.source);
-        e.peer_gen = peers_.generation();
+        pin->source = p.source;
+        pin->peer_idx = PeerTable::kNoIndex;
       }
+      receive_context(tech, from, p.source, p.payload, relay, pin);
       break;
+    }
     case PacketKind::kData:
-      ++stats_.data_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_on(options_.owner, sc->core().data_rx,
-                    obs::Cat::kDataRx, p.source.value, p.payload.size());
-      }
-      for (const auto& cb : on_data_) cb(p.source, p.payload);
+      receive_data(tech, from, p.source, p.payload);
       break;
     case PacketKind::kRelayed:
-      break;  // handled above
+      // The link-level sender is the relayer, not `source`: no direct
+      // mapping may be recorded.
+      handle_relayed_packet(p);
+      break;
   }
+}
+
+namespace {
+/// The mapping a packet records for the link it physically arrived on.
+/// Multicast-derived mappings need re-validation before data transfer;
+/// ND-integrated (BLE) and connection-proven (unicast) ones do not.
+Sighting direct_sighting(Technology tech, const LowLevelAddress& from) {
+  return Sighting{tech, from, tech == Technology::kWifiMulticast};
+}
+}  // namespace
+
+void OmniManager::receive_address_beacon(Technology tech,
+                                         const LowLevelAddress& from,
+                                         OmniAddress source, BleAddress ble,
+                                         MeshAddress mesh,
+                                         std::span<const std::uint8_t> relay,
+                                         BeaconMemoEntry* pin) {
+  // The direct mapping joins the batched observe at the end — one table
+  // probe for the whole sighting. Deferring it past the engagement trigger
+  // is safe: the trigger consults only strictly lower-energy mappings,
+  // which a same-technology observation never adds.
+  engage_for(tech, source);
+  if (!relay.empty()) {
+    maybe_relay(source, relay,
+                static_cast<std::uint8_t>(options_.context_relay_hops - 1));
+  }
+  ++stats_.beacons_received;
+  if (obs::Omniscope* sc = scope_of(sim_)) {
+    sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
+                      obs::Cat::kBeaconRx, source.value);
+  }
+  // The beacon carries the peer's full address map: record the direct
+  // mapping plus reachability for every technology it names. Mappings
+  // delivered over integrated low-level ND (BLE) are immediately usable;
+  // those delivered over application-level multicast still need the
+  // re-validation ritual. The BLE self-mapping duplicate — a beacon heard
+  // over BLE from the very address it advertises — is covered by the direct
+  // sighting.
+  const Sighting direct = direct_sighting(tech, from);
+  std::array<Sighting, 4> sightings;
+  std::size_t n = 0;
+  sightings[n++] = direct;
+  if (!ble.is_zero() &&
+      !(tech == Technology::kBle && std::holds_alternative<BleAddress>(from) &&
+        std::get<BleAddress>(from) == ble)) {
+    sightings[n++] = Sighting{Technology::kBle, LowLevelAddress{ble},
+                              /*requires_refresh=*/false};
+  }
+  if (!mesh.is_zero()) {
+    sightings[n++] = Sighting{Technology::kWifiUnicast, LowLevelAddress{mesh},
+                              direct.requires_refresh};
+    sightings[n++] = Sighting{Technology::kWifiMulticast,
+                              LowLevelAddress{mesh}, direct.requires_refresh};
+  }
+  if (observe_sender(source, std::span(sightings.data(), n), pin)) {
+    discovery_note_inserts();
+  }
+}
+
+void OmniManager::receive_context(Technology tech, const LowLevelAddress& from,
+                                  OmniAddress source, const Bytes& payload,
+                                  std::span<const std::uint8_t> relay,
+                                  BeaconMemoEntry* pin) {
+  // Unlike the address beacon's, this direct mapping lands first: the
+  // application callbacks below may reply to the sender through it.
+  const Sighting direct = direct_sighting(tech, from);
+  const bool observed = observe_sender(source, std::span(&direct, 1), pin);
+  engage_for(tech, source);
+  if (!relay.empty()) {
+    maybe_relay(source, relay,
+                static_cast<std::uint8_t>(options_.context_relay_hops - 1));
+  }
+  deliver_context(source, payload);
+  if (observed) discovery_note_inserts();
+}
+
+void OmniManager::receive_data(Technology tech, const LowLevelAddress& from,
+                               OmniAddress source, const Bytes& payload) {
+  const Sighting direct = direct_sighting(tech, from);
+  observe_sender(source, std::span(&direct, 1), nullptr);
+  engage_for(tech, source);
+  ++stats_.data_received;
+  if (obs::Omniscope* sc = scope_of(sim_)) {
+    sc->mark_on(options_.owner, sc->core().data_rx, obs::Cat::kDataRx,
+                source.value, payload.size());
+  }
+  for (const auto& cb : on_data_) cb(source, payload);
   discovery_note_inserts();
+}
+
+void OmniManager::deliver_context(OmniAddress source, const Bytes& payload) {
+  ++stats_.context_received;
+  if (obs::Omniscope* sc = scope_of(sim_)) {
+    sc->mark_frame_on(options_.owner, sc->core().context_rx,
+                      obs::Cat::kContextRx, source.value, payload.size());
+  }
+  for (const auto& cb : on_context_) cb(source, payload);
+}
+
+bool OmniManager::observe_sender(OmniAddress source,
+                                 std::span<const Sighting> sightings,
+                                 BeaconMemoEntry* pin) {
+  // Refresh through the memo entry's peer-table pin when it is still valid
+  // — identical writes to observe_all, minus the bucket probe. No pin or a
+  // stale one: full observe, then re-pin.
+  const TimePoint now = sim_.now();
+  if (pin != nullptr && peers_.refresh_pinned(pin->peer_idx, pin->peer_gen,
+                                              source, sightings, now)) {
+    return false;
+  }
+  peers_.observe_all(source, sightings, now);
+  if (pin != nullptr) {
+    pin->peer_idx = peers_.index_of(source);
+    pin->peer_gen = peers_.generation();
+  }
+  return true;
+}
+
+void OmniManager::engage_for(Technology tech, OmniAddress source) {
+  // An unknown peer (no lower-energy reachability) appeared on a
+  // non-engaged context technology. BLE is the lowest energy rank, so for
+  // BLE packets the reachability probe is statically false.
+  if (!options_.enable_engagement) return;
+  if (tech != Technology::kBle &&
+      peers_.reachable_on_lower_energy(source, tech, sim_.now(),
+                                       options_.peer_ttl)) {
+    return;
+  }
+  TechSlot* s = slot(tech);
+  if (s != nullptr && s->up && s->supports_context && !s->tech->engaged()) {
+    engage(tech);
+  }
 }
 
 void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
   ++stats_.relayed_in;
-  // Separate scratch from decode_scratch_: `outer` aliases that buffer.
-  Status decoded = PackedStruct::decode_into(outer.payload, relay_scratch_);
+  Result<PackedStruct> decoded = PackedStruct::decode(outer.payload);
   if (!decoded.is_ok()) return;
-  const PackedStruct& p = relay_scratch_;
+  const PackedStruct& p = decoded.value();
   if (p.source == self_ || p.source != outer.source) return;
 
   TimePoint now = sim_.now();
@@ -1259,13 +1190,7 @@ void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
       }
       break;
     case PacketKind::kContext:
-      ++stats_.context_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                          obs::Cat::kContextRx, p.source.value,
-                          p.payload.size());
-      }
-      for (const auto& cb : on_context_) cb(p.source, p.payload);
+      deliver_context(p.source, p.payload);
       break;
     default:
       return;
@@ -1274,27 +1199,20 @@ void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
   discovery_note_inserts();
   // Forward further if the hop budget allows.
   if (outer.hops_remaining > 0 && options_.context_relay_hops > 0) {
-    PackedStruct rewrapped = PackedStruct::relayed(
-        p.source, outer.payload,
-        static_cast<std::uint8_t>(outer.hops_remaining - 1));
-    maybe_relay(rewrapped, outer.payload);
+    maybe_relay(p.source, outer.payload,
+                static_cast<std::uint8_t>(outer.hops_remaining - 1));
   }
 }
 
-void OmniManager::maybe_relay(const PackedStruct& packet,
-                              std::span<const std::uint8_t> inner_encoded) {
+void OmniManager::maybe_relay(OmniAddress source,
+                              std::span<const std::uint8_t> inner_encoded,
+                              std::uint8_t hops) {
   // Content-addressed dedup: one active relay per distinct packet.
   std::uint64_t key = fnv1a64(inner_encoded);
   if (active_relays_.count(key) > 0) return;
 
-  std::uint8_t hops;
-  if (packet.kind == PacketKind::kRelayed) {
-    hops = packet.hops_remaining;  // already decremented by the caller
-  } else {
-    hops = static_cast<std::uint8_t>(options_.context_relay_hops - 1);
-  }
   Bytes packed = maybe_seal(
-      PackedStruct::relayed(packet.source,
+      PackedStruct::relayed(source,
                             Bytes(inner_encoded.begin(), inner_encoded.end()),
                             hops)
           .encode());
@@ -1331,15 +1249,11 @@ void OmniManager::maybe_relay(const PackedStruct& packet,
 // --- Response path -----------------------------------------------------------
 
 void OmniManager::drain_response_queue() {
-  // Batch drain; see drain_receive_queue for rationale.
+  // Batch drain; see drain_receive for rationale.
   while (!response_queue_.empty()) {
-    std::size_t n = response_queue_.drain_into(response_scratch_);
-    for (std::size_t i = 0; i < n; ++i) {
-      handle_response(std::move(response_scratch_[i]));
+    for (TechResponse& response : response_queue_.drain()) {
+      handle_response(std::move(response));
     }
-    // Unlike received packets, responses carry callbacks and shared send
-    // state: destroy them promptly instead of recycling the slots.
-    response_scratch_.clear();
   }
 }
 
@@ -1594,10 +1508,8 @@ void OmniManager::dispatch_context_add(ContextRecord& record) {
   attempt.id = record.id;
   attempt.tech = *tech;
   attempt.op = SendOp::kAddContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
 }
@@ -1688,10 +1600,8 @@ void OmniManager::update_context(ContextId id, const ContextParams& params,
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kUpdateContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   s->send_queue->push(std::move(req));
 }
@@ -1738,10 +1648,8 @@ void OmniManager::remove_context(ContextId id, StatusCallback callback) {
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kRemoveContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*rec->tech)->send_queue->push(std::move(req));
 }
@@ -1836,17 +1744,14 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
   DataAttempt attempt;
   attempt.op_id = op_id;
   attempt.tech = *tech;
-  if (options_.self_healing.enabled) {
-    const auto& sh = options_.self_healing;
-    // Budget scaled to the expected transfer time (connection setup plus
-    // size/throughput), floored so tiny transfers get a sane minimum.
-    Duration est = slot(*tech)->tech->estimate_data_time(
-        op.packed.size(), info.requires_refresh);
-    Duration budget =
-        std::max(sh.min_op_deadline, est * sh.deadline_factor +
-                                         sh.deadline_slack);
-    attempt.deadline = arm_deadline(req.request_id, budget);
-  }
+  // Budget scaled to the expected transfer time (connection setup plus
+  // size/throughput), floored so tiny transfers get a sane minimum.
+  const auto& sh = options_.self_healing;
+  Duration est = slot(*tech)->tech->estimate_data_time(op.packed.size(),
+                                                       info.requires_refresh);
+  Duration budget = std::max(sh.min_op_deadline,
+                             est * sh.deadline_factor + sh.deadline_slack);
+  attempt.deadline = arm_deadline(req.request_id, budget);
   data_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
 }
@@ -1881,8 +1786,7 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
   }
   Bytes packed = PackedStruct::data(self_, std::move(data)).encode();
   for (OmniAddress dest : destinations) {
-    if (options_.self_healing.enabled &&
-        pending_data_.size() >= options_.self_healing.max_pending_ops) {
+    if (pending_data_.size() >= options_.self_healing.max_pending_ops) {
       // Overload shed: bound the pending table rather than letting a dead
       // network grow it without limit.
       ++stats_.overload_rejections;

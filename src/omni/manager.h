@@ -57,22 +57,19 @@ struct ManagerOptions {
   /// Engagement maintenance / probe cadence (paper: "e.g., every five
   /// seconds").
   Duration probe_interval = Duration::seconds(5);
-  /// How long a peer mapping stays usable without being re-heard.
+  /// How long a peer mapping stays usable without being re-heard. Expiry
+  /// runs in an owner-local sweep every probe_interval, just before each
+  /// maintenance tick.
   Duration peer_ttl = Duration::seconds(10);
-  /// Cadence of the owner-local peer-expiry sweep event. Zero = follow
-  /// probe_interval (the sweep then fires just before each maintenance tick,
-  /// matching the pre-sweep behavior where expiry ran inside it).
-  Duration peer_sweep_interval = Duration::zero();
   /// Receiver-side beacon fast path: memoize the last beacon wire frame per
   /// (technology, link-level sender). A repeat whose length and 64-bit
   /// digest match — the steady state, since senders cache their sealed
-  /// frame — skips unseal + decode + sighting reconstruction and takes a
-  /// refresh-only path through the peer table. The digest is trusted
-  /// without a byte compare (collision odds ~2^-64, and a collision is
-  /// deterministic — see DESIGN.md "Beacon fast path"); this switch exists
-  /// for ablation/debug. Automatically disabled while context_relay_hops >
-  /// 0: the relay pipeline must see every frame so expired relays can
-  /// re-trigger.
+  /// frame — skips unseal + decode and refreshes the peer table through a
+  /// pinned entry. The digest is trusted without a byte compare (collision
+  /// odds ~2^-64, and a collision is deterministic — see DESIGN.md "Beacon
+  /// fast path"); this switch exists for ablation/debug. Automatically
+  /// disabled while context_relay_hops > 0: the relay pipeline must see
+  /// every frame so expired relays can re-trigger.
   bool beacon_rx_memo = true;
   /// Ablation switch: disable the multi-technology engagement algorithm
   /// (beacons then go to every context technology, ubiSOAP-style).
@@ -133,8 +130,6 @@ struct ManagerOptions {
   /// deadlines only fire when a technology never responds (healthy paths
   /// cancel them first), and backoff/quarantine only engage after failures.
   struct SelfHealing {
-    /// Master switch (ablation / A-B comparisons).
-    bool enabled = true;
     /// Floor for the per-attempt response deadline.
     Duration min_op_deadline = Duration::seconds(2);
     /// Data-op deadline = max(min_op_deadline,
@@ -309,12 +304,12 @@ class OmniManager : private InlinePacketSink {
   std::uint64_t next_request_id() { return next_request_id_++; }
 
   // Queue consumers.
-  void drain_receive_queue();
-  void drain_shared_receive_queue();
+  void drain_receive(SimQueue<ReceivedPacket>& queue);
   void drain_response_queue();
   /// The receive path proper. Takes a *view* of the wire frame: queue-drained
-  /// packets pass their recycled buffer, and the zero-copy inline path (see
+  /// packets pass their own buffer, and the zero-copy inline path (see
   /// receive_inline) passes the radio frame in place without ever copying it.
+  /// A memo hit and a decoded frame reach the same per-kind effect function.
   void handle_packet(Technology tech, const LowLevelAddress& from,
                      std::span<const std::uint8_t> packed);
   /// InlinePacketSink: node-local technologies hand frames straight here when
@@ -396,8 +391,8 @@ class OmniManager : private InlinePacketSink {
   // address beacon with that same owner's context beacons, so the field is
   // the same either way. If a link address ever re-announces under a
   // different omni address, the store clears the other way — correctness is
-  // preserved (each way's effects replay only what was decoded alongside
-  // its digest), at worst costing the pathological sender its memo.
+  // preserved (each way holds only what was decoded alongside its digest),
+  // at worst costing the pathological sender its memo.
   //
   // A hit is keyed on (hashed link sender, frame length, 64-bit
   // wire_digest): neither the raw frame bytes nor the link address are
@@ -409,7 +404,7 @@ class OmniManager : private InlinePacketSink {
   // Each entry also pins the sender's peer-table position (dense index +
   // structure generation, see PeerTable::refresh_pinned): a hit then
   // refreshes the peer's timestamps directly, skipping the bucket probe —
-  // the second cold line the slow path pays. A stale pin (peer expired,
+  // the second cold line a decoded frame pays. A stale pin (peer expired,
   // table compacted) falls back to the full observe and re-pins.
   static constexpr std::size_t kMemoInlinePayload = 4;
   struct alignas(64) BeaconMemoEntry {
@@ -437,16 +432,43 @@ class OmniManager : private InlinePacketSink {
   /// Index for `key`, inserting (and growing the table) as needed.
   std::size_t memo_insert(std::uint64_t key);
   void memo_grow();
-  /// Refresh-only receive paths taken on a memo hit (index into memo_;
-  /// context_refresh may also read the parallel spill slot).
-  void beacon_refresh(Technology tech, const LowLevelAddress& from,
-                      BeaconMemoEntry& e);
-  void context_refresh(Technology tech, const LowLevelAddress& from,
-                       std::size_t idx);
+  /// The context payload memoized in entry `idx`: inline bytes are copied
+  /// into memo_payload_scratch_, longer payloads live in memo_spill_.
+  const Bytes& memo_payload(std::size_t idx);
+
+  // Receive effects: one function per packet kind, called alike by a memo
+  // hit and by a decoded frame, so both paths apply the same effects in the
+  // same order. `pin` is the sender's memo entry (null when the frame is
+  // not memoized): the peer table is refreshed through its pin, or fully
+  // observed and re-pinned. `relay` is the decoded frame to re-broadcast;
+  // it is empty unless context relaying is on, which turns the memo off.
+  void receive_address_beacon(Technology tech, const LowLevelAddress& from,
+                              OmniAddress source, BleAddress ble,
+                              MeshAddress mesh,
+                              std::span<const std::uint8_t> relay,
+                              BeaconMemoEntry* pin);
+  void receive_context(Technology tech, const LowLevelAddress& from,
+                       OmniAddress source, const Bytes& payload,
+                       std::span<const std::uint8_t> relay,
+                       BeaconMemoEntry* pin);
+  void receive_data(Technology tech, const LowLevelAddress& from,
+                    OmniAddress source, const Bytes& payload);
+  /// Context counters and application callbacks, shared with the relayed
+  /// context arm (which has no direct sender to observe).
+  void deliver_context(OmniAddress source, const Bytes& payload);
+  /// Record `source`'s sightings through `pin`, or with a full observe that
+  /// re-pins it. Returns true for a full observe: only that can insert a
+  /// peer, so only then does the caller run discovery_note_inserts().
+  bool observe_sender(OmniAddress source, std::span<const Sighting> sightings,
+                      BeaconMemoEntry* pin);
+  /// Engagement trigger: `source` was heard on `tech` and is not reachable
+  /// more cheaply, so a non-engaged context technology `tech` engages.
+  void engage_for(Technology tech, OmniAddress source);
 
   // Multi-hop relay.
-  void maybe_relay(const PackedStruct& packet,
-                   std::span<const std::uint8_t> inner_encoded);
+  void maybe_relay(OmniAddress source,
+                   std::span<const std::uint8_t> inner_encoded,
+                   std::uint8_t hops);
   void handle_relayed_packet(const PackedStruct& outer);
 
   // Context handling.
@@ -501,16 +523,6 @@ class OmniManager : private InlinePacketSink {
   /// intra-device software path).
   SimQueue<ReceivedPacket> shared_receive_queue_;
   SimQueue<TechResponse> response_queue_;
-  // Reused drain buffers (see drain_receive_queue).
-  std::vector<ReceivedPacket> receive_scratch_;
-  std::vector<ReceivedPacket> shared_receive_scratch_;
-  std::vector<TechResponse> response_scratch_;
-  // Reused decode target (see handle_packet).
-  PackedStruct decode_scratch_;
-  // Reused unseal buffer (handle_packet) and relayed-inner decode target
-  // (handle_relayed_packet) — the beacon fast path allocates nothing.
-  Bytes unseal_scratch_;
-  PackedStruct relay_scratch_;
 
   AddressBeaconInfo beacon_info_;
   Bytes beacon_packed_;
@@ -528,7 +540,7 @@ class OmniManager : private InlinePacketSink {
   std::vector<Bytes> memo_spill_;
   std::size_t beacon_memo_count_ = 0;
   bool memo_enabled_ = false;
-  /// Reused payload buffer for context_refresh callbacks (inline bytes are
+  /// Reused payload buffer for memo-hit context callbacks (inline bytes are
   /// materialized here, so hits allocate nothing in steady state).
   Bytes memo_payload_scratch_;
 
@@ -563,10 +575,11 @@ class OmniManager : private InlinePacketSink {
   std::optional<BeaconCipher> cipher_;
   std::uint64_t next_nonce_ = 1;
   bool running_ = false;
-  /// Re-entrancy guard for the receive path: handle_packet's scratch members
-  /// (decode_scratch_, unseal_scratch_, ...) assume one packet at a time.
-  /// Queue drains and the inline sink both set it; receive_inline refuses
-  /// (falls back to the queue) while it is held.
+  /// Re-entrancy guard for the receive path, the manager's counterpart of
+  /// the queue's draining flag: packets are processed one at a time (and
+  /// memo_payload_scratch_ assumes it). Queue drains and the inline sink
+  /// both set it; receive_inline refuses (falls back to the queue) while it
+  /// is held.
   bool in_receive_ = false;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t next_data_op_id_ = 1;

@@ -148,11 +148,9 @@ void NanTech::on_receive(const NanAddress& from, const Bytes& frame) {
                                    LowLevelAddress{from}, packed)) {
     return;
   }
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kWifiAware;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(frame.begin() + 1, frame.end());
-  });
+  queues_.receive->push(ReceivedPacket{Technology::kWifiAware,
+                                       LowLevelAddress{from},
+                                       Bytes(packed.begin(), packed.end())});
 }
 
 void NanTech::respond(const SendRequest& request, bool success,

@@ -62,11 +62,6 @@ struct PackedStruct {
 
   Bytes encode() const;
   static Result<PackedStruct> decode(std::span<const std::uint8_t> wire);
-  /// decode() into a caller-owned struct: `out.payload` is assign()ed, so a
-  /// struct reused across packets keeps its buffer and decoding allocates
-  /// nothing in steady state. On error `out` is unspecified.
-  static Status decode_into(std::span<const std::uint8_t> wire,
-                            PackedStruct& out);
 
   bool operator==(const PackedStruct&) const = default;
 };

@@ -7,8 +7,7 @@
 // directly (guarded against recursion) — same virtual instant, no event
 // overhead, and the owner's events are serial so nothing can interleave.
 // Pushes from any other context defer the wakeup to a fresh event under the
-// owner. The thread-safe ConcurrentQueue in common/ provides the same
-// interface for real-time deployments.
+// owner.
 #pragma once
 
 #include <cstdint>
@@ -34,63 +33,27 @@ class SimQueue {
   SimQueue& operator=(const SimQueue&) = delete;
 
   void push(T item) {
-    if (count_ < items_.size()) {
-      items_[count_] = std::move(item);
-    } else {
-      items_.push_back(std::move(item));
-    }
-    ++count_;
-    wake();
-  }
-
-  /// Append a slot and let `fill` write it in place. A slot recycled from an
-  /// earlier drained batch keeps its heap buffers (a packet's payload vector,
-  /// say), so a producer that fills via assign() allocates nothing in steady
-  /// state.
-  template <typename Fill>
-  void produce(Fill&& fill) {
-    if (count_ == items_.size()) items_.emplace_back();
-    fill(items_[count_]);
-    ++count_;
+    items_.push_back(std::move(item));
     wake();
   }
 
   std::optional<T> try_pop() {
-    if (count_ == 0) return std::nullopt;
+    if (items_.empty()) return std::nullopt;
     T out = std::move(items_.front());
     items_.erase(items_.begin());
-    --count_;
     return out;
   }
 
-  /// Swap out the entire backlog (mirrors ConcurrentQueue::drain so
-  /// consumers written against one queue type work against the other).
-  std::vector<T> drain() {
-    std::vector<T> out;
-    out.swap(items_);
-    out.resize(count_);  // drop recycled slots past the live prefix
-    count_ = 0;
-    return out;
-  }
-
-  /// drain() into a reused buffer: the backlog is exchanged with `out` and
-  /// the number of live items — a prefix of `out` — is returned. Elements
-  /// past that prefix are dead slots from earlier batches; a caller that
-  /// leaves them in place (no clear()) hands their buffers back to
-  /// produce()/push() at the next exchange, so steady-state draining
-  /// allocates nothing.
-  std::size_t drain_into(std::vector<T>& out) {
-    std::swap(items_, out);
-    std::size_t live = count_;
-    count_ = 0;
-    return live;
-  }
+  /// Hand the entire backlog to the caller, which owns the batch from then
+  /// on: every item is destroyed when the caller drops it, so the queue
+  /// keeps no buffer from one batch to the next.
+  std::vector<T> drain() { return std::exchange(items_, {}); }
 
   /// Register the consumer's wakeup. After every push, the consumer runs in
   /// its own event (coalesced: one wakeup per batch of same-instant pushes).
   void set_consumer(std::function<void()> fn) {
     consumer_ = std::move(fn);
-    if (count_ > 0) wake();
+    if (!items_.empty()) wake();
   }
 
   void clear_consumer() { consumer_ = nullptr; }
@@ -105,8 +68,8 @@ class SimQueue {
     pinned_ = true;
   }
 
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
 
  private:
   void wake() {
@@ -125,7 +88,7 @@ class SimQueue {
       draining_ = true;
       consumer_();
       draining_ = false;
-      if (count_ > 0) deferred_wake();  // consumer returned with a backlog
+      if (!items_.empty()) deferred_wake();  // consumer returned with a backlog
       return;
     }
     deferred_wake();
@@ -153,11 +116,8 @@ class SimQueue {
   sim::Simulator* sim_;
   std::uint32_t drain_slot_;  ///< callback-slot id for queue-drain descriptors
   // Vector, not deque: consumers batch-drain, so FIFO pop-front is rare
-  // (short send queues only) while push/drain are hot. The live backlog is
-  // items_[0, count_); later elements are recycled slots whose buffers
-  // produce() reuses (see drain_into).
+  // (short send queues only) while push/drain are hot.
   std::vector<T> items_;
-  std::size_t count_ = 0;
   std::function<void()> consumer_;
   sim::OwnerId owner_ = sim::kGlobalOwner;
   bool pinned_ = false;

@@ -82,26 +82,20 @@ Bytes BeaconCipher::seal(std::span<const std::uint8_t> plain,
 
 std::optional<Bytes> BeaconCipher::open(
     std::span<const std::uint8_t> sealed) const {
-  Bytes plain;
-  if (!open_into(sealed, plain)) return std::nullopt;
-  return plain;
-}
-
-bool BeaconCipher::open_into(std::span<const std::uint8_t> sealed,
-                             Bytes& out) const {
   if (sealed.size() < kSealOverhead || sealed[0] != kSealedPacketMarker) {
-    return false;
+    return std::nullopt;
   }
   ByteReader r(sealed.subspan(1));
   std::uint64_t nonce = r.u64().value();
   std::uint32_t expected_tag = r.u32().value();
   std::span<const std::uint8_t> body = sealed.subspan(kSealOverhead);
-  out.resize(body.size());
-  // Keystream generated straight into `out`, then XORed with the ciphertext
-  // in place — no temporary buffer.
-  keystream(nonce, out.size(), out.data());
-  for (std::size_t i = 0; i < body.size(); ++i) out[i] ^= body[i];
-  return tag(out, nonce) == expected_tag;
+  Bytes plain(body.size());
+  // Keystream generated straight into `plain`, then XORed with the
+  // ciphertext in place — no temporary buffer.
+  keystream(nonce, plain.size(), plain.data());
+  for (std::size_t i = 0; i < body.size(); ++i) plain[i] ^= body[i];
+  if (tag(plain, nonce) != expected_tag) return std::nullopt;
+  return plain;
 }
 
 }  // namespace omni

@@ -44,11 +44,6 @@ class BeaconCipher {
   /// or malformed input.
   std::optional<Bytes> open(std::span<const std::uint8_t> sealed) const;
 
-  /// Allocation-reusing variant of open(): decrypts into `out` (resized to
-  /// the plaintext length, capacity reused across calls). Returns false on
-  /// wrong key, tampering, or malformed input; `out` is unspecified then.
-  bool open_into(std::span<const std::uint8_t> sealed, Bytes& out) const;
-
   /// True if the buffer carries the sealed-packet marker.
   static bool looks_sealed(std::span<const std::uint8_t> wire) {
     return !wire.empty() && wire[0] == kSealedPacketMarker;

@@ -187,11 +187,9 @@ void WifiMulticastTech::on_multicast(const MeshAddress& from,
   }
   auto packed = unframe_mesh_view(frame, radio_.address());
   if (!packed) return;
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kWifiMulticast;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(packed->begin(), packed->end());
-  });
+  queues_.receive->push(ReceivedPacket{Technology::kWifiMulticast,
+                                       LowLevelAddress{from},
+                                       Bytes(packed->begin(), packed->end())});
 }
 
 void WifiMulticastTech::drain_send_queue() {

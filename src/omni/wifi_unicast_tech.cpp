@@ -19,11 +19,8 @@ EnableResult WifiUnicastTech::enable(const TechQueues& queues) {
   radio_.add_datagram_handler(
       [this](const MeshAddress& from, const Bytes& payload, bool multicast) {
         if (multicast || !enabled_) return;
-        queues_.receive->produce([&](ReceivedPacket& pkt) {
-          pkt.tech = Technology::kWifiUnicast;
-          pkt.from = LowLevelAddress{from};
-          pkt.packed.assign(payload.begin(), payload.end());
-        });
+        queues_.receive->push(ReceivedPacket{Technology::kWifiUnicast,
+                                             LowLevelAddress{from}, payload});
       });
   radio_.add_power_handler([this](bool powered) {
     if (!enabled_) return;

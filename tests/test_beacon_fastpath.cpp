@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/testbed.h"
@@ -29,10 +31,13 @@ struct Fleet {
 /// Constant-density grid (the bench_scale layout): 25 m spacing gives every
 /// node BLE neighbors without anyone hearing the whole field.
 Fleet make_grid(std::size_t n, unsigned threads, bool memo,
-                bool observability) {
+                bool observability, const Bytes& context_key = {}) {
   Fleet f;
-  f.bed = std::make_unique<net::Testbed>(42, radio::Calibration::defaults(),
-                                         threads);
+  // Sealed beacons outgrow the legacy 31-byte advertisement, so keyed
+  // fleets advertise with Bluetooth 5 extended advertising.
+  radio::Calibration cal = radio::Calibration::defaults();
+  cal.ble_extended_advertising = !context_key.empty();
+  f.bed = std::make_unique<net::Testbed>(42, cal, threads);
   if (observability) {
     f.bed->enable_observability(/*ring_capacity=*/1 << 14, /*detail=*/false);
   }
@@ -40,6 +45,7 @@ Fleet make_grid(std::size_t n, unsigned threads, bool memo,
       std::ceil(std::sqrt(static_cast<double>(n))));
   OmniNodeOptions options;
   options.manager.beacon_rx_memo = memo;
+  options.manager.context_key = context_key;
   f.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     net::Device& dev = f.bed->add_device(
@@ -97,27 +103,69 @@ TEST(BeaconFastPathTest, MetricsDigestInvariantAcrossThreadCounts) {
   EXPECT_EQ(sequential, digest(8));
 }
 
+/// One node's context receptions: (source, payload, time).
+using ContextLog = std::vector<std::tuple<OmniAddress, Bytes, TimePoint>>;
+
+/// Every node publishes one context — 1 byte on even nodes (the memo's
+/// inline way), 16 bytes on odd ones (its spill way) — and logs every
+/// context it receives into `logs[i]`.
+void publish_contexts(Fleet& f, std::vector<ContextLog>& logs) {
+  logs.assign(f.nodes.size(), {});
+  sim::Simulator& sim = f.bed->simulator();
+  for (std::size_t i = 0; i < f.nodes.size(); ++i) {
+    OmniManager& m = f.nodes[i]->manager();
+    m.request_context([&sim, log = &logs[i]](OmniAddress source,
+                                             const Bytes& payload) {
+      log->emplace_back(source, payload, sim.now());
+    });
+    m.add_context(ContextParams{},
+                  Bytes(i % 2 == 0 ? 1 : 16, static_cast<std::uint8_t>(i)),
+                  nullptr);
+  }
+}
+
+/// Every ManagerStats field except beacon_decode_skips, the one field the
+/// memo exists to move.
+auto observable_stats(const ManagerStats& s) {
+  return std::make_tuple(
+      s.packets_received, s.sealed_drops, s.beacons_received,
+      s.context_received, s.data_received, s.data_sends, s.data_failovers,
+      s.context_failovers, s.engagements, s.disengagements, s.beacon_encodes,
+      s.beacon_frames_cached, s.peer_expire_sweeps, s.relayed_out,
+      s.relayed_in, s.deadline_failovers, s.beacon_rearms, s.quarantines,
+      s.overload_rejections, s.beacons_suppressed, s.scan_windows_skipped);
+}
+
 TEST(BeaconFastPathTest, MemoOffIsObservablyEquivalent) {
   // The memo is an ablation switch, not a semantics switch: with it off the
   // same scenario must land in the same protocol state — same peer tables,
-  // same packet/beacon counts — just without the skips.
-  Fleet on = make_grid(64, 1, /*memo=*/true, /*observability=*/false);
-  Fleet off = make_grid(64, 1, /*memo=*/false, /*observability=*/false);
-  on.bed->simulator().run_for(Duration::seconds(8));
-  off.bed->simulator().run_for(Duration::seconds(8));
+  // same counters, the same context callbacks at the same instants — just
+  // without the skips. Covered for plaintext and for sealed frames, with
+  // inline and spilled context payloads in both.
+  for (const Bytes& key : {Bytes{}, Bytes{'t', 'o', 'u', 'r'}}) {
+    SCOPED_TRACE(key.empty() ? "plaintext" : "sealed");
+    Fleet on = make_grid(64, 1, /*memo=*/true, /*observability=*/false, key);
+    Fleet off = make_grid(64, 1, /*memo=*/false, /*observability=*/false, key);
+    std::vector<ContextLog> on_log;
+    std::vector<ContextLog> off_log;
+    publish_contexts(on, on_log);
+    publish_contexts(off, off_log);
+    on.bed->simulator().run_for(Duration::seconds(8));
+    off.bed->simulator().run_for(Duration::seconds(8));
 
-  EXPECT_GT(on.sum(&ManagerStats::beacon_decode_skips), 0u);
-  EXPECT_EQ(off.sum(&ManagerStats::beacon_decode_skips), 0u);
-  EXPECT_EQ(on.sum(&ManagerStats::packets_received),
-            off.sum(&ManagerStats::packets_received));
-  EXPECT_EQ(on.sum(&ManagerStats::beacons_received),
-            off.sum(&ManagerStats::beacons_received));
-  EXPECT_EQ(on.sum(&ManagerStats::engagements),
-            off.sum(&ManagerStats::engagements));
-  for (std::size_t i = 0; i < on.nodes.size(); ++i) {
-    EXPECT_EQ(on.nodes[i]->manager().peer_table().peers(),
-              off.nodes[i]->manager().peer_table().peers())
-        << "node " << i;
+    EXPECT_GT(on.sum(&ManagerStats::beacon_decode_skips), 0u);
+    EXPECT_EQ(off.sum(&ManagerStats::beacon_decode_skips), 0u);
+    EXPECT_GT(on.sum(&ManagerStats::context_received), 0u);
+    EXPECT_GT(on.sum(&ManagerStats::beacons_received), 0u);
+    for (std::size_t i = 0; i < on.nodes.size(); ++i) {
+      const OmniManager& a = on.nodes[i]->manager();
+      const OmniManager& b = off.nodes[i]->manager();
+      EXPECT_EQ(observable_stats(a.stats()), observable_stats(b.stats()))
+          << "node " << i;
+      EXPECT_EQ(a.peer_table().peers(), b.peer_table().peers())
+          << "node " << i;
+      EXPECT_EQ(on_log[i], off_log[i]) << "node " << i;
+    }
   }
 }
 

@@ -48,13 +48,11 @@ class StallTech final : public CommTechnology {
 
   /// Fabricate an address-beacon sighting so the manager learns `peer`.
   void inject_beacon(OmniAddress peer, MeshAddress from) {
-    queues_.receive->produce([&](ReceivedPacket& pkt) {
-      pkt.tech = Technology::kWifiUnicast;
-      pkt.from = LowLevelAddress{from};
-      AddressBeaconInfo info;
-      info.mesh = from;
-      pkt.packed = PackedStruct::address_beacon(peer, info).encode();
-    });
+    AddressBeaconInfo info;
+    info.mesh = from;
+    queues_.receive->push(
+        ReceivedPacket{Technology::kWifiUnicast, LowLevelAddress{from},
+                       PackedStruct::address_beacon(peer, info).encode()});
   }
 
   std::uint64_t swallowed() const { return swallowed_; }

@@ -1,11 +1,43 @@
 // The simulation-integrated queues of the Communication Technology API:
-// pushes never invoke the consumer re-entrantly, wakeups coalesce, and
-// consumers drain in FIFO order.
+// pushes never invoke the consumer re-entrantly, wakeups coalesce,
+// consumers drain in FIFO order, and a drained batch is not kept.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
+#include "omni/manager.h"
 #include "omni/queues.h"
+
+namespace {
+/// Live heap bytes of this test program, kept by the replacement global
+/// allocation functions below.
+std::atomic<std::int64_t> g_live_heap_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_heap_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  return p;
+}
+
+// The replacement operator new above allocates with malloc, so free() is
+// the matching release; GCC cannot see that pairing.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
+#pragma GCC diagnostic pop
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace omni {
 namespace {
@@ -91,51 +123,67 @@ TEST(SimQueueTest, DrainReturnsBacklogInOrder) {
   EXPECT_TRUE(q.drain().empty());
 }
 
-TEST(SimQueueTest, DrainIntoReportsLivePrefixAndRecyclesSlots) {
+/// A data-only technology whose receptions all travel through the
+/// manager's receive queue.
+class QueuedTech final : public CommTechnology {
+ public:
+  EnableResult enable(const TechQueues& queues) override {
+    queues_ = queues;
+    enabled_ = true;
+    return EnableResult{Technology::kWifiUnicast,
+                        LowLevelAddress{MeshAddress{0xBEEF}}};
+  }
+  void disable() override { enabled_ = false; }
+  Technology type() const override { return Technology::kWifiUnicast; }
+  bool enabled() const override { return enabled_; }
+  bool supports_context() const override { return false; }
+  bool supports_data() const override { return true; }
+  std::size_t max_context_payload() const override { return 0; }
+  std::size_t max_data_payload() const override { return 0; }
+  Duration estimate_data_time(std::size_t, bool) const override {
+    return Duration::millis(20);
+  }
+  void set_engaged(bool) override {}
+  bool engaged() const override { return false; }
+
+  void receive(MeshAddress from, Bytes packed) {
+    queues_.receive->push(ReceivedPacket{Technology::kWifiUnicast,
+                                         LowLevelAddress{from},
+                                         std::move(packed)});
+  }
+
+ private:
+  TechQueues queues_;
+  bool enabled_ = false;
+};
+
+TEST(SimQueueTest, DrainedPacketIsReleasedByTheTimeTheConsumerReturns) {
+  // The manager drains its receive queue by taking each batch: once the
+  // consumer has handled a packet, neither the queue nor the manager keeps
+  // its buffer or a decoded copy of its payload alive.
   sim::Simulator sim;
-  SimQueue<std::vector<int>> q(sim);
-  q.push({1});
-  q.push({2});
-  q.push({3});
-  std::vector<std::vector<int>> scratch;
-  ASSERT_EQ(q.drain_into(scratch), 3u);
-  EXPECT_EQ(scratch[0], (std::vector<int>{1}));
-  EXPECT_EQ(scratch[2], (std::vector<int>{3}));
-  EXPECT_TRUE(q.empty());
-
-  // Deliberately no clear() between exchanges: the processed batch swaps
-  // back into the queue as recycled slots.
-  q.push({4});
-  ASSERT_EQ(q.drain_into(scratch), 1u);  // queue now holds the 3 dead slots
-  EXPECT_EQ(scratch[0], (std::vector<int>{4}));
-
-  // A new batch overwrites the recycled slots in place; the third element
-  // of the swapped-out vector is still a dead slot from the first batch.
-  q.push({5});
-  q.produce([](std::vector<int>& slot) { slot.assign(1, 6); });
-  ASSERT_EQ(q.drain_into(scratch), 2u);
-  ASSERT_EQ(scratch.size(), 3u);
-  EXPECT_EQ(scratch[0], (std::vector<int>{5}));
-  EXPECT_EQ(scratch[1], (std::vector<int>{6}));
-  EXPECT_EQ(scratch[2], (std::vector<int>{3}));  // dead slot, buffer kept
-}
-
-TEST(SimQueueTest, ProduceWakesConsumerLikePush) {
-  sim::Simulator sim;
-  SimQueue<std::vector<int>> q(sim);
-  std::vector<int> sizes;
-  std::vector<std::vector<int>> scratch;
-  q.set_consumer([&] {
-    std::size_t n = q.drain_into(scratch);
-    for (std::size_t i = 0; i < n; ++i) {
-      sizes.push_back(static_cast<int>(scratch[i].size()));
-    }
+  QueuedTech tech;
+  OmniManager manager(sim, OmniAddress{1});
+  manager.add_technology(tech);
+  manager.start();
+  std::size_t delivered = 0;
+  manager.request_data([&](OmniAddress, const Bytes& data) {
+    delivered = data.size();
   });
-  q.produce([](std::vector<int>& slot) { slot.assign(2, 7); });
-  q.produce([](std::vector<int>& slot) { slot.assign(5, 7); });
-  EXPECT_EQ(q.size(), 2u);
-  sim.run();
-  EXPECT_EQ(sizes, (std::vector<int>{2, 5}));
+  sim.run_for(Duration::millis(1));
+
+  constexpr std::size_t kPayload = 1 << 20;
+  Bytes frame = PackedStruct::data(OmniAddress{2}, Bytes(kPayload, 0x5a))
+                    .encode();
+  const std::int64_t before = g_live_heap_bytes.load();  // counts `frame`
+  tech.receive(MeshAddress{7}, std::move(frame));
+  sim.run_for(Duration::millis(1));  // the deferred wakeup drains the queue
+
+  EXPECT_EQ(delivered, kPayload);
+  EXPECT_EQ(manager.stats().data_received, 1u);
+  EXPECT_LT(g_live_heap_bytes.load(),
+            before - static_cast<std::int64_t>(kPayload / 2))
+      << "the drained frame or its decoded payload is still allocated";
 }
 
 TEST(SimQueueTest, TryPopInterleavesWithRecycledSlots) {
