@@ -82,12 +82,13 @@ class BleRadio {
   /// delivered to the receive handler. With `slotted` set the duty is
   /// realized as a deterministic open-slot schedule instead of an
   /// independent per-advertisement thinning trial: openness of each fixed
-  /// 100 ms slot follows a receiver-keyed golden-ratio rotation, so a
-  /// periodic advertiser on the beacon lattice is heard with bounded miss
-  /// runs (at most O(1/duty) consecutive losses) rather than geometric
-  /// tails. The adaptive discovery scheduler uses slotted scanning so its
-  /// hint-scaled peer-expiry horizon is never outrun by an unlucky streak;
-  /// plain duty keeps the historical Bernoulli semantics byte-for-byte.
+  /// 500 ms slot (one beacon floor) follows a receiver-keyed golden-ratio
+  /// rotation, so a periodic advertiser on the beacon lattice is heard with
+  /// bounded miss runs (at most O(1/duty) consecutive losses) rather than
+  /// geometric tails. The adaptive discovery scheduler uses slotted scanning
+  /// so its hint-scaled peer-expiry horizon is never outrun by an unlucky
+  /// streak; plain duty keeps the historical Bernoulli semantics
+  /// byte-for-byte.
   void set_scanning(bool enabled, double duty = 1.0, bool slotted = false);
   bool scanning() const { return scanning_; }
   double scan_duty() const { return scan_duty_; }
@@ -234,12 +235,12 @@ class BleMedium {
 
   /// One flushed window's delivery working set (the concatenated
   /// transmissions and the canonically sorted winners), recycled across
-  /// windows. Sweep events reference their batch by pool slot packed with
-  /// the winner range into one u64, so the event closure is 16 bytes and
-  /// stays in std::function's small-buffer storage — no allocation and no
-  /// shared_ptr refcount traffic per sweep event. `remaining` counts the
-  /// batch's unfinished sweep events (decremented on receiver shards, read
-  /// at the flush barrier); a batch is reused once it reaches zero.
+  /// windows. Sweep events are kEventBleSweep descriptors whose inline
+  /// payload is the batch's pool slot packed with the winner range into one
+  /// u64 — no allocation and no shared_ptr refcount traffic per sweep
+  /// event. `remaining` counts the batch's unfinished sweep events
+  /// (decremented on receiver shards, read at the flush barrier); a batch is
+  /// reused once it reaches zero.
   struct SweepBatch {
     std::vector<PendingTx> txs;
     std::vector<PendingWinner> winners;

@@ -1,6 +1,8 @@
 #include "radio/energy_meter.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "common/result.h"
 #include "obs/omniscope.h"
@@ -10,7 +12,34 @@ namespace omni::radio {
 void EnergyMeter::charge(TimePoint t0, TimePoint t1, double ma,
                          obs::EnergyRail rail) {
   if (t1 <= t0 || ma == 0.0) return;
-  segments_.push_back(Segment{t0, t1, ma, rail});
+  const Duration dur = t1 - t0;
+  const std::int64_t gap = (t0 - last_start_).as_micros();
+  last_start_ = t0;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (!runs_.empty()) {
+    Run& r = runs_.back();
+    if (r.dur == dur && r.rail == rail && bits(r.ma) == bits(ma) &&
+        gap >= 0 && gap <= std::numeric_limits<std::uint32_t>::max() &&
+        r.count < std::numeric_limits<std::uint32_t>::max()) {
+      deltas_.push_back(static_cast<std::uint32_t>(gap));
+      ++r.count;
+      return;
+    }
+  }
+  runs_.push_back(Run{t0, dur, ma, 1, rail});
+}
+
+template <class F>
+void EnergyMeter::replay(Cursor& c, F&& f) const {
+  for (; c.run < runs_.size(); ++c.run, c.pos = 0) {
+    const Run& r = runs_[c.run];
+    for (; c.pos < r.count; ++c.pos) {
+      c.start = c.pos == 0 ? r.first
+                           : c.start + Duration::micros(deltas_[c.delta++]);
+      f(c.start, c.start + r.dur, r.ma, r.rail);
+    }
+    if (c.run + 1 == runs_.size()) break;
+  }
 }
 
 bool EnergyMeter::ledger_active() const {
@@ -29,7 +58,7 @@ void EnergyMeter::flush_ledger(TimePoint now) {
   if (!ledger_active()) return;
   obs::Omniscope& sc = *OMNI_SCOPE(sim_);
   const std::size_t lane = sc.lane();
-  // Finish previously seen segments whose spans were still open at the last
+  // Finish previously seen charges whose spans were still open at the last
   // flush (a charge may be future-dated: a BLE advertising event books its
   // whole span the instant it starts).
   std::size_t keep = 0;
@@ -42,18 +71,16 @@ void EnergyMeter::flush_ledger(TimePoint now) {
     if (p.t1 > now) pending_[keep++] = p;
   }
   pending_.resize(keep);
-  // Mirror every segment recorded since the last flush, clipped to `now`, so
+  // Mirror every charge logged since the last flush, clipped to `now`, so
   // ledger totals equal total_mAs(origin, now) at every flush point. Doing
   // this here — never on the charge() hot path — keeps instrumented runs
   // within the flight-recorder overhead budget.
-  for (; mirrored_idx_ < segments_.size(); ++mirrored_idx_) {
-    const Segment& s = segments_[mirrored_idx_];
-    TimePoint hi = std::min(s.t1, now);
-    if (hi > s.t0) ledger_add(sc, lane, s.t0, hi, s.ma, s.rail);
-    if (s.t1 > now) {
-      pending_.push_back(Pending{std::max(s.t0, now), s.t1, s.ma, s.rail});
-    }
-  }
+  replay(mirrored_, [&](TimePoint t0, TimePoint t1, double ma,
+                        obs::EnergyRail rail) {
+    TimePoint hi = std::min(t1, now);
+    if (hi > t0) ledger_add(sc, lane, t0, hi, ma, rail);
+    if (t1 > now) pending_.push_back(Pending{std::max(t0, now), t1, ma, rail});
+  });
 }
 
 void EnergyMeter::set_level(const std::string& tag, double ma,
@@ -61,7 +88,7 @@ void EnergyMeter::set_level(const std::string& tag, double ma,
   TimePoint now = sim_.now();
   auto it = levels_.find(tag);
   if (it != levels_.end()) {
-    // Close the previous level as a concrete segment.
+    // Close the previous level as a concrete charge.
     charge(it->second.since, now, it->second.ma, it->second.rail);
     if (ma == 0.0) {
       levels_.erase(it);
@@ -92,7 +119,7 @@ void EnergyMeter::flush_levels() {
     charge(lvl.since, now, lvl.ma, lvl.rail);
     lvl.since = now;
   }
-  // Closed level spans are segments now, so one ledger pass covers both
+  // Closed level spans are logged charges now, so one ledger pass covers both
   // interval charges and levels.
   flush_ledger(now);
 }
@@ -105,7 +132,10 @@ double EnergyMeter::total_mAs(TimePoint t0, TimePoint t1) const {
     TimePoint hi = std::min(b, t1);
     return hi > lo ? (hi - lo).as_seconds() : 0.0;
   };
-  for (const auto& s : segments_) total += overlap(s.t0, s.t1) * s.ma;
+  Cursor c;
+  replay(c, [&](TimePoint a, TimePoint b, double ma, obs::EnergyRail) {
+    total += overlap(a, b) * ma;
+  });
   for (const auto& [tag, lvl] : levels_) {
     total += overlap(lvl.since, t1) * lvl.ma;
   }

@@ -12,16 +12,25 @@
 // optionally minus the WiFi-standby floor (which is how the paper's Table 4
 // produces a *negative* value for the WiFi-off State-of-the-Practice row).
 //
+// Every charge is kept in an exact run-length log: consecutive charges of
+// one shape (duration, current, rail) form a run stored once, and each
+// charge in a run costs only the u32 microsecond gap to the previous one's
+// start. A device beaconing on a fixed period thus logs 4 bytes per
+// advertising event. Queries replay the charges in insertion order with the
+// same integer endpoints and the same fold, so every integral is the double
+// a flat list of charges would give.
+//
 // Every charge carries an obs::EnergyRail (which radio the draw belongs to).
 // When an Omniscope is attached to the simulator and the meter knows its
 // node, charges are mirrored into the scope's energy ledger, making per-node
-// per-technology totals queryable as metrics. Mirroring is batched: the
-// charge() hot path only appends a segment; flush_levels() (Testbed calls it
-// at every report or export) walks the segments recorded since the last
-// flush, clips them to the current instant, and feeds them to the ledger, so
-// ledger totals always equal total_mAs(origin, now) at a flush point.
+// per-technology totals queryable as metrics. Mirroring is batched: charge()
+// only logs; flush_levels() (Testbed calls it at every report or export)
+// replays the charges logged since the last flush from a saved cursor, clips
+// them to the current instant, and feeds them to the ledger, so ledger totals
+// always equal total_mAs(origin, now) at a flush point.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -85,11 +94,28 @@ class EnergyMeter {
   NodeId node() const { return node_; }
 
  private:
-  struct Segment {
-    TimePoint t0;
-    TimePoint t1;
+  /// Consecutive charges of one shape: same duration, same current (bit for
+  /// bit) and same rail, each starting no earlier than the one before and
+  /// less than 2^32 us after it. The run's first charge starts at `first`;
+  /// charge k > 0 starts deltas_[...] us after charge k - 1.
+  struct Run {
+    TimePoint first;
+    Duration dur;
     double ma;
-    obs::EnergyRail rail = obs::EnergyRail::kOther;
+    std::uint32_t count;  ///< charges in the run, >= 1
+    obs::EnergyRail rail;
+  };
+  // A log in which every charge opens its own run costs one header per
+  // charge, as much as a flat (t0, t1, ma, rail) record.
+  static_assert(sizeof(Run) == 32);
+  /// A position in the log: the next charge to replay is charge `pos` of
+  /// runs_[run]; `delta` indexes the next unread gap in deltas_ and `start`
+  /// is the start of the charge replayed last.
+  struct Cursor {
+    std::size_t run = 0;
+    std::uint32_t pos = 0;
+    std::size_t delta = 0;
+    TimePoint start;
   };
   struct Level {
     double ma = 0;
@@ -105,19 +131,26 @@ class EnergyMeter {
     obs::EnergyRail rail;
   };
 
+  /// Call f(t0, t1, ma, rail) for every charge from `c` to the end of the
+  /// log in insertion order, leaving `c` on the last run so charges appended
+  /// to it later are replayed by the next call.
+  template <class F>
+  void replay(Cursor& c, F&& f) const;
   bool ledger_active() const;
   void ledger_add(obs::Omniscope& sc, std::size_t lane, TimePoint t0,
                   TimePoint t1, double ma, obs::EnergyRail rail);
-  /// Mirror segments recorded since the last flush into the attached energy
+  /// Mirror charges logged since the last flush into the attached energy
   /// ledger, clipped to `now` (called by flush_levels()).
   void flush_ledger(TimePoint now);
 
   sim::Simulator& sim_;
   NodeId node_;
-  std::vector<Segment> segments_;
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> deltas_;  ///< one per charge after a run's first
+  TimePoint last_start_;               ///< start of the last logged charge
   std::map<std::string, Level> levels_;
   std::vector<Pending> pending_;
-  std::size_t mirrored_idx_ = 0;  ///< segments mirrored into the ledger
+  Cursor mirrored_;  ///< charges before it are mirrored into the ledger
 };
 
 /// Converts bulk traffic into capped radio-active time.
@@ -135,9 +168,6 @@ class BusyCharger {
   /// Charge up to `active` seconds of busy time within [t0, t1].
   /// Returns the seconds actually charged.
   double charge_active(TimePoint t0, TimePoint t1, double active_seconds);
-
-  /// Fraction of [t0, t1] this direction was busy (for tests/telemetry).
-  double busy_until_seconds() const { return busy_until_.as_seconds(); }
 
  private:
   EnergyMeter& meter_;
