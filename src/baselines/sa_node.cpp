@@ -19,7 +19,7 @@ void SaNode::start() {
   if (options_.enable_ble) {
     device_.ble().set_powered(true);
     device_.ble().set_receive_handler(
-        [this](const BleAddress& from, const Bytes& frame) {
+        [this](const BleAddress& from, const Bytes& frame, std::uint64_t) {
           if (started_) on_ble_receive(from, frame);
         });
     // The overlay listens continuously on every technology.

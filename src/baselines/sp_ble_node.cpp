@@ -15,7 +15,7 @@ void SpBleNode::start() {
   device_.wifi().set_powered(false);
   device_.ble().set_powered(true);
   device_.ble().set_receive_handler(
-      [this](const BleAddress& from, const Bytes& frame) {
+      [this](const BleAddress& from, const Bytes& frame, std::uint64_t) {
         on_receive(from, frame);
       });
   device_.ble().set_scanning(true, options_.idle_scan_duty);

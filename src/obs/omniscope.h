@@ -56,7 +56,7 @@ struct CoreMetrics {
   // Beacon fast path (manager send/receive caches; see DESIGN.md).
   MetricId beacon_encodes = kInvalidMetric;        ///< wire-frame (re)encodes
   MetricId beacon_frames_cached = kInvalidMetric;  ///< sends from the cache
-  MetricId beacon_decode_skips = kInvalidMetric;   ///< digest-memo rx hits
+  MetricId beacon_decode_skips = kInvalidMetric;   ///< stamp-memo rx hits
   MetricId peer_expire_sweeps = kInvalidMetric;    ///< periodic expiry sweeps
   // Adaptive discovery scheduler (DiscoveryPolicy; see DESIGN.md).
   MetricId beacons_suppressed = kInvalidMetric;    ///< beacons saved vs floor

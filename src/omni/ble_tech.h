@@ -54,7 +54,8 @@ class BleTech final : public CommTechnology {
  private:
   void drain_send_queue();
   void process(SendRequest request);
-  void on_radio_receive(const BleAddress& from, const Bytes& frame);
+  void on_radio_receive(const BleAddress& from, const Bytes& frame,
+                        std::uint64_t stamp);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
 

@@ -124,13 +124,17 @@ struct ReceivedPacket {
   Technology tech = Technology::kBle;
   LowLevelAddress from;
   Bytes packed;  ///< encoded omni_packed_struct
+  /// The sending radio's frame stamp (radio::StampedFrame), or 0. A plugin
+  /// passes it on only when it vouches for `packed`: the radio frame with
+  /// this stamp always unframes to these exact bytes at this receiver.
+  std::uint64_t stamp = 0;
 };
 
 /// Zero-copy receive fast path. When a technology's delivery callback
 /// already executes in the receiving manager's owner context — the common
 /// case for node-local radios, whose queue wakeup would drain inline at the
 /// same instant anyway — it may hand the unframed link payload straight to
-/// the sink, skipping the copy into a queued packet. receive_inline returns
+/// the sink, skipping the copy into a queued packet. Both calls return
 /// false when the synchronous path is unavailable (wrong execution context,
 /// re-entrancy, an undrained backlog whose FIFO order must be preserved);
 /// the caller must then fall back to queues.receive->push(). Taking the
@@ -139,8 +143,16 @@ struct ReceivedPacket {
 class InlinePacketSink {
  public:
   virtual ~InlinePacketSink() = default;
+  /// `stamp` as in ReceivedPacket.
   virtual bool receive_inline(Technology tech, const LowLevelAddress& from,
-                              std::span<const std::uint8_t> packed) = 0;
+                              std::span<const std::uint8_t> packed,
+                              std::uint64_t stamp) = 0;
+  /// A stamped frame before it is unframed: true when the manager has
+  /// already decoded this stamp from `from` and applied the frame's effects
+  /// again. False (a miss, or the synchronous path is unavailable) means
+  /// the frame takes the receive_inline/push path as usual.
+  virtual bool receive_stamped(Technology tech, const LowLevelAddress& from,
+                               std::uint64_t stamp) = 0;
 };
 
 struct TechQueues {

@@ -10,7 +10,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "net/link_frame.h"
 #include "sim/snapshot.h"
 #include "sim/world.h"
 
@@ -38,10 +37,12 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Memo-table key for a (technology, link-level sender) pair. Collisions
-/// across variant alternatives are harmless — slots are confirmed with an
-/// exact (tech, from) compare before use — so the hash only needs spread,
-/// not injectivity. Never returns 0 (the empty-slot sentinel).
+/// Memo-table key for a (technology, link-level sender) pair. Two pairs may
+/// share a key: nothing confirms (tech, from) before use, but a hit also
+/// needs the frame's stamp, which carries the sending radio's uid, so a
+/// collision between senders misses instead of hitting (see
+/// BeaconMemoEntry). The hash therefore only needs spread, not
+/// injectivity. Never returns 0 (the empty-slot sentinel).
 std::uint64_t memo_key(Technology tech, const LowLevelAddress& from) {
   // Hot: called once per delivered beacon/context frame. Branch on the
   // variant index directly (BLE overwhelmingly dominates) and load the six
@@ -829,29 +830,44 @@ void OmniManager::drain_receive(SimQueue<ReceivedPacket>& queue) {
   in_receive_ = true;
   while (!queue.empty()) {
     for (const ReceivedPacket& pkt : queue.drain()) {
-      handle_packet(pkt.tech, pkt.from, pkt.packed);
+      handle_packet(pkt.tech, pkt.from, pkt.packed, pkt.stamp);
     }
   }
   in_receive_ = false;
 }
 
-bool OmniManager::receive_inline(Technology tech, const LowLevelAddress& from,
-                                 std::span<const std::uint8_t> packed) {
+bool OmniManager::can_receive_inline() const {
   // Mirror SimQueue::wake()'s inline-drain condition exactly (pinned,
   // non-global owner, producing context == owner): the fast path fires only
   // when the push() path would have run the consumer synchronously right
   // here, so taking it changes nothing about processing order. A non-empty
   // queue means an earlier cross-context push is still waiting on its
   // deferred wakeup — jumping ahead of it would break FIFO, so fall back.
-  if (!running_ || in_receive_ || !receive_queue_.empty() ||
-      options_.owner == sim::kGlobalOwner ||
-      sim_.current_owner() != options_.owner) {
-    return false;
-  }
+  return running_ && !in_receive_ && receive_queue_.empty() &&
+         options_.owner != sim::kGlobalOwner &&
+         sim_.current_owner() == options_.owner;
+}
+
+bool OmniManager::receive_inline(Technology tech, const LowLevelAddress& from,
+                                 std::span<const std::uint8_t> packed,
+                                 std::uint64_t stamp) {
+  if (!can_receive_inline()) return false;
   in_receive_ = true;
-  handle_packet(tech, from, packed);
+  handle_packet(tech, from, packed, stamp);
   in_receive_ = false;
   return true;
+}
+
+bool OmniManager::receive_stamped(Technology tech, const LowLevelAddress& from,
+                                  std::uint64_t stamp) {
+  // A hit here is exactly the hit handle_packet would take first under
+  // receive_inline; on a miss the caller goes on to receive_inline, whose
+  // handle_packet looks the stamp up once more before decoding.
+  if (!can_receive_inline()) return false;
+  in_receive_ = true;
+  const bool hit = memo_hit(tech, from, stamp);
+  in_receive_ = false;
+  return hit;
 }
 
 std::size_t OmniManager::memo_find(std::uint64_t key) const {
@@ -910,49 +926,35 @@ const Bytes& OmniManager::memo_payload(std::size_t idx) {
   return memo_payload_scratch_;
 }
 
-void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
-                                std::span<const std::uint8_t> packed) {
-  // Computed at most once per packet; the memo store below reuses it.
-  std::uint64_t incoming_digest = 0;
-  if (memo_enabled_) {
-    // Beacon fast path: a cached frame from this exact (tech, link sender)
-    // whose length and 64-bit digest match skips decryption and decode; its
-    // effect function runs on the memoized fields instead. The digest is
-    // trusted (no byte-verify); see DESIGN.md "Beacon fast path" for the
-    // collision stance.
-    std::size_t idx = kMemoNone;
-    if (!memo_.empty()) {
-      const std::uint64_t key = memo_key(tech, from);
-      // Start the entry's line — cold by the time this manager's next
-      // packet arrives — on its way, overlapped with the digest pass over
-      // the already-hot frame bytes.
-      __builtin_prefetch(&memo_[key & (memo_.size() - 1)]);
-      incoming_digest = wire_digest(packed);
-      idx = memo_find(key);
-    } else {
-      incoming_digest = wire_digest(packed);
-    }
-    if (idx != kMemoNone) {
-      BeaconMemoEntry& e = memo_[idx];
-      const std::size_t len = packed.size();
-      const bool beacon = e.b_size == len && e.b_digest == incoming_digest;
-      if (beacon || (e.c_size == len && e.c_digest == incoming_digest)) {
-        peers_.prefetch_pinned(e.peer_idx);  // overlap with the work below
-        ++stats_.packets_received;
-        ++stats_.beacon_decode_skips;
-        if (obs::Omniscope* sc = scope_of(sim_)) {
-          sc->count_on(options_.owner, sc->core().beacon_decode_skips);
-        }
-        if (beacon) {
-          receive_address_beacon(tech, from, e.source, e.b_ble, e.b_mesh, {},
-                                 &e);
-        } else {
-          receive_context(tech, from, e.source, memo_payload(idx), {}, &e);
-        }
-        return;
-      }
-    }
+bool OmniManager::memo_hit(Technology tech, const LowLevelAddress& from,
+                           std::uint64_t stamp) {
+  // memo_ stays empty while the memo is off: only memoized frames insert.
+  if (stamp == 0 || memo_.empty()) return false;
+  const std::size_t idx = memo_find(memo_key(tech, from));
+  if (idx == kMemoNone) return false;
+  // An equal stamp is the frame this entry decoded, byte for byte, so its
+  // effect function runs on the memoized fields instead of a decode.
+  BeaconMemoEntry& e = memo_[idx];
+  const bool beacon = e.b_stamp == stamp;
+  if (!beacon && e.c_stamp != stamp) return false;
+  peers_.prefetch_pinned(e.peer_idx);  // overlap with the work below
+  ++stats_.packets_received;
+  ++stats_.beacon_decode_skips;
+  if (obs::Omniscope* sc = scope_of(sim_)) {
+    sc->count_on(options_.owner, sc->core().beacon_decode_skips);
   }
+  if (beacon) {
+    receive_address_beacon(tech, from, e.source, e.b_ble, e.b_mesh, {}, &e);
+  } else {
+    receive_context(tech, from, e.source, memo_payload(idx), {}, &e);
+  }
+  return true;
+}
+
+void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
+                                std::span<const std::uint8_t> packed,
+                                std::uint64_t stamp) {
+  if (memo_hit(tech, from, stamp)) return;
   std::span<const std::uint8_t> wire = packed;
   std::optional<Bytes> unsealed;
   if (BeaconCipher::looks_sealed(wire)) {
@@ -979,22 +981,21 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   // turns the memo off, so only decoded frames ever carry a relay span.
   const std::span<const std::uint8_t> relay =
       options_.context_relay_hops > 0 ? wire : std::span<const std::uint8_t>{};
-  // Memoize (length, digest) of the raw frame as it arrived (sealed or not)
-  // with the decoded fields, so a byte-identical repeat skips the decrypt
-  // and decode. A sender interleaves both kinds on one link address, so the
-  // two ways share `source`: a link address announcing a *different* omni
-  // address drops the other way. The stored entry is handed to the effect
-  // function unpinned; its full observe pins it.
+  // Memoize the frame's stamp with the decoded fields, so a repeat under
+  // the same stamp skips the decrypt and decode. An unstamped frame stores
+  // 0 and so still displaces the way's previous stamp. A sender interleaves
+  // both kinds on one link address, so the two ways share `source`: a link
+  // address announcing a *different* omni address drops the other way. The
+  // stored entry is handed to the effect function unpinned; its full
+  // observe pins it. (The size bound keeps c_payload_len in 16 bits.)
   const bool memoize = memo_enabled_ && packed.size() <= 0xffff;
-  const auto frame_size = static_cast<std::uint16_t>(packed.size());
   switch (p.kind) {
     case PacketKind::kAddressBeacon: {
       BeaconMemoEntry* pin = nullptr;
       if (memoize) {
         pin = &memo_[memo_insert(memo_key(tech, from))];
-        if (pin->c_size != 0 && pin->source != p.source) pin->c_size = 0;
-        pin->b_digest = incoming_digest;
-        pin->b_size = frame_size;
+        if (pin->source != p.source) pin->c_stamp = 0;
+        pin->b_stamp = stamp;
         pin->b_ble = p.beacon.ble;
         pin->b_mesh = p.beacon.mesh;
         pin->source = p.source;
@@ -1009,9 +1010,8 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
       if (memoize) {
         const std::size_t idx = memo_insert(memo_key(tech, from));
         pin = &memo_[idx];
-        if (pin->b_size != 0 && pin->source != p.source) pin->b_size = 0;
-        pin->c_digest = incoming_digest;
-        pin->c_size = frame_size;
+        if (pin->source != p.source) pin->b_stamp = 0;
+        pin->c_stamp = stamp;
         pin->c_payload_len = static_cast<std::uint16_t>(p.payload.size());
         if (p.payload.size() <= kMemoInlinePayload) {
           std::copy(p.payload.begin(), p.payload.end(), pin->c_inline.begin());

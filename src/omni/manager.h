@@ -61,15 +61,15 @@ struct ManagerOptions {
   /// runs in an owner-local sweep every probe_interval, just before each
   /// maintenance tick.
   Duration peer_ttl = Duration::seconds(10);
-  /// Receiver-side beacon fast path: memoize the last beacon wire frame per
-  /// (technology, link-level sender). A repeat whose length and 64-bit
-  /// digest match — the steady state, since senders cache their sealed
-  /// frame — skips unseal + decode and refreshes the peer table through a
-  /// pinned entry. The digest is trusted without a byte compare (collision
-  /// odds ~2^-64, and a collision is deterministic — see DESIGN.md "Beacon
-  /// fast path"); this switch exists for ablation/debug. Automatically
-  /// disabled while context_relay_hops > 0: the relay pipeline must see
-  /// every frame so expired relays can re-trigger.
+  /// Receiver-side beacon fast path: memoize the last beacon and context
+  /// frame per (technology, link-level sender) under the sending radio's
+  /// stamp. A repeat with the same nonzero stamp — the steady state, since
+  /// senders cache their sealed frame and radios keep its stamp — is the
+  /// same bytes, so it skips unframe, unseal and decode and refreshes the
+  /// peer table through a pinned entry (see DESIGN.md "Beacon fast path").
+  /// This switch exists for ablation/debug. Automatically disabled while
+  /// context_relay_hops > 0: the relay pipeline must see every frame so
+  /// expired relays can re-trigger.
   bool beacon_rx_memo = true;
   /// Ablation switch: disable the multi-technology engagement algorithm
   /// (beacons then go to every context technology, ubiSOAP-style).
@@ -170,7 +170,7 @@ struct ManagerStats {
   // read them without paying for a scope).
   std::uint64_t beacon_encodes = 0;        ///< beacon wire-frame (re)encodes
   std::uint64_t beacon_frames_cached = 0;  ///< beacon ops served from cache
-  std::uint64_t beacon_decode_skips = 0;   ///< receptions memo-short-circuited
+  std::uint64_t beacon_decode_skips = 0;   ///< stamped repeats not decoded
   std::uint64_t peer_expire_sweeps = 0;    ///< periodic expiry sweeps run
   std::uint64_t relayed_out = 0;  ///< packets this device re-broadcast
   std::uint64_t relayed_in = 0;   ///< relayed packets received
@@ -310,15 +310,30 @@ class OmniManager : private InlinePacketSink {
   /// packets pass their own buffer, and the zero-copy inline path (see
   /// receive_inline) passes the radio frame in place without ever copying it.
   /// A memo hit and a decoded frame reach the same per-kind effect function.
+  /// `stamp` is the frame's sender stamp (ReceivedPacket::stamp), 0 if none.
   void handle_packet(Technology tech, const LowLevelAddress& from,
-                     std::span<const std::uint8_t> packed);
+                     std::span<const std::uint8_t> packed,
+                     std::uint64_t stamp);
+  /// The memo hit: when `stamp` is nonzero and equals a way of (tech,
+  /// from)'s memo entry, apply that way's effects and return true. The one
+  /// place a frame is recognized without decoding it.
+  bool memo_hit(Technology tech, const LowLevelAddress& from,
+                std::uint64_t stamp);
+  /// True where a radio delivery may be processed synchronously (see
+  /// receive_inline).
+  bool can_receive_inline() const;
   /// InlinePacketSink: node-local technologies hand frames straight here when
   /// the delivery already runs in this manager's owner context — exactly the
   /// case where SimQueue::wake() would drain inline synchronously, so the
   /// packet is processed at the identical point in the event sequence, minus
   /// one buffer copy and queue round-trip.
   bool receive_inline(Technology tech, const LowLevelAddress& from,
-                      std::span<const std::uint8_t> packed) override;
+                      std::span<const std::uint8_t> packed,
+                      std::uint64_t stamp) override;
+  /// InlinePacketSink: memo_hit under receive_inline's conditions, for a
+  /// stamped frame that has not been unframed yet.
+  bool receive_stamped(Technology tech, const LowLevelAddress& from,
+                       std::uint64_t stamp) override;
   void handle_response(TechResponse response);
   void handle_data_response(const TechResponse& response);
   void handle_context_response(const TechResponse& response);
@@ -371,7 +386,7 @@ class OmniManager : private InlinePacketSink {
   /// every other caller reuses the cached bytes.
   const Bytes& beacon_wire();
 
-  // Receiver-side digest memo (see ManagerOptions::beacon_rx_memo). One
+  // Receiver-side stamp memo (see ManagerOptions::beacon_rx_memo). One
   // entry per (technology, link-level sender); open-addressing, never
   // shrunk — bounded by the distinct sender addresses ever heard. A sender
   // interleaves its address beacon with its context beacons on the same
@@ -381,9 +396,9 @@ class OmniManager : private InlinePacketSink {
   // Layout is deliberately one cache line per sender: the receive path is
   // memory-bound (every manager's tables are cold by the time its next
   // packet arrives), so a hit must not touch more cache lines than the
-  // decode it replaces. Key, both ways' (digest, length), the sender's omni
-  // address, its advertised addresses, and a small inline context payload
-  // all pack into exactly 64 bytes — the common hit costs ONE cold line.
+  // decode it replaces. Key, both ways' stamps, the sender's omni address,
+  // its advertised addresses, and a small inline context payload all pack
+  // into one 64-byte line — the common hit costs ONE cold line.
   // Context payloads past kMemoInlinePayload bytes live in a parallel spill
   // array touched only on such hits.
   //
@@ -391,15 +406,19 @@ class OmniManager : private InlinePacketSink {
   // address beacon with that same owner's context beacons, so the field is
   // the same either way. If a link address ever re-announces under a
   // different omni address, the store clears the other way — correctness is
-  // preserved (each way holds only what was decoded alongside its digest),
+  // preserved (each way holds only what was decoded alongside its stamp),
   // at worst costing the pathological sender its memo.
   //
-  // A hit is keyed on (hashed link sender, frame length, 64-bit
-  // wire_digest): neither the raw frame bytes nor the link address are
-  // kept, because re-verifying them would double the hit path's cache
-  // footprint for failure modes with ~2^-64 probability. See DESIGN.md
-  // "Beacon fast path" for the collision stance and why a collision is
-  // deterministic, not a heisenbug.
+  // A hit needs the entry found under the hashed (tech, link sender) key
+  // and a way holding the frame's nonzero stamp. No hit rests on a hash: a
+  // stamp names one byte string for the whole run, and it carries the
+  // sending radio's uid, so two senders whose keys collide never share a
+  // stamp. The one radio behind two link addresses (a rotation) sends the
+  // same bytes under one stamp, which decode to the same fields; the
+  // effects take the link address from the reception, not from the entry.
+  // Every decoded frame overwrites its way, an unstamped one with stamp 0,
+  // which never hits: a frame corrupted in flight that still decodes
+  // therefore makes the next clean frame decode too.
   //
   // Each entry also pins the sender's peer-table position (dense index +
   // structure generation, see PeerTable::refresh_pinned): a hit then
@@ -409,15 +428,13 @@ class OmniManager : private InlinePacketSink {
   static constexpr std::size_t kMemoInlinePayload = 4;
   struct alignas(64) BeaconMemoEntry {
     std::uint64_t key = 0;      ///< hashed (tech, link sender); 0 = empty slot
-    // Way 0: the sender's address beacon (b_size == 0 -> empty).
-    std::uint64_t b_digest = 0;
-    // Way 1: the sender's context beacon (c_size == 0 -> empty).
-    std::uint64_t c_digest = 0;
+    // Way 0: the sender's address beacon (b_stamp == 0 -> never hits).
+    std::uint64_t b_stamp = 0;
+    // Way 1: the sender's context beacon (c_stamp == 0 -> never hits).
+    std::uint64_t c_stamp = 0;
     OmniAddress source;         ///< the sender behind this link address
     MeshAddress b_mesh;         ///< advertised mesh mapping (may be zero)
     BleAddress b_ble;           ///< advertised BLE mapping (may be zero)
-    std::uint16_t b_size = 0;   ///< address-beacon wire frame length
-    std::uint16_t c_size = 0;   ///< context wire frame length
     std::uint16_t c_payload_len = 0;
     std::array<std::uint8_t, kMemoInlinePayload> c_inline{};
     /// Peer-table pin for `source` (shared by both ways, like `source`).

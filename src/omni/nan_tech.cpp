@@ -22,10 +22,10 @@ EnableResult NanTech::enable(const TechQueues& queues) {
   enabled_ = true;
   radio_.set_enabled(true);
   radio_.set_attendance(engaged_ ? 1 : options_.probe_attendance);
-  radio_.set_receive_handler(
-      [this](const NanAddress& from, const Bytes& frame) {
-        on_receive(from, frame);
-      });
+  radio_.set_receive_handler([this](const NanAddress& from,
+                                    const Bytes& frame, std::uint64_t stamp) {
+    on_receive(from, frame, stamp);
+  });
   queues_.send->set_consumer([this] { drain_send_queue(); });
   return EnableResult{Technology::kWifiAware,
                       LowLevelAddress{radio_.address()}};
@@ -136,21 +136,25 @@ void NanTech::process(SendRequest request) {
   }
 }
 
-void NanTech::on_receive(const NanAddress& from, const Bytes& frame) {
+void NanTech::on_receive(const NanAddress& from, const Bytes& frame,
+                         std::uint64_t stamp) {
   if (!enabled_ || frame.empty()) return;
   if (frame[0] != kFrameBroadcast && frame[0] != kFrameBroadcastData) return;
   // Same zero-copy fast path as BLE: deliveries already run on the
   // receiving node's shard, so hand the payload view straight to the
-  // manager when the queue would have drained inline anyway.
+  // manager when the queue would have drained inline anyway. Every frame
+  // that gets here unframes to the same bytes at any receiver, so the
+  // stamp vouches for the payload.
   std::span<const std::uint8_t> packed(frame.data() + 1, frame.size() - 1);
   if (queues_.sink != nullptr &&
       queues_.sink->receive_inline(Technology::kWifiAware,
-                                   LowLevelAddress{from}, packed)) {
+                                   LowLevelAddress{from}, packed, stamp)) {
     return;
   }
   queues_.receive->push(ReceivedPacket{Technology::kWifiAware,
                                        LowLevelAddress{from},
-                                       Bytes(packed.begin(), packed.end())});
+                                       Bytes(packed.begin(), packed.end()),
+                                       stamp});
 }
 
 void NanTech::respond(const SendRequest& request, bool success,

@@ -120,8 +120,8 @@ Result<AdvertisementId> BleRadio::start_advertising(Bytes payload,
   }
   AdvertisementId id = next_adv_id_++;
   advertisements_.emplace_back(
-      id, Advertisement{std::make_shared<const Bytes>(std::move(payload)),
-                        interval, sim::EventHandle{}});
+      id, Advertisement{stamp_frame(std::move(payload)), interval,
+                        sim::EventHandle{}});
   // First event after a full interval: a freshly added advertisement is not
   // instantly on the air.
   schedule_adv(id, interval);
@@ -133,6 +133,11 @@ BleRadio::Advertisement* BleRadio::find_adv(AdvertisementId id) {
     if (adv_id == id) return &adv;
   }
   return nullptr;
+}
+
+std::shared_ptr<const StampedFrame> BleRadio::stamp_frame(Bytes payload) {
+  return std::make_shared<const StampedFrame>(
+      StampedFrame{std::move(payload), next_stamp(0, uid_, stamp_seq_)});
 }
 
 Status BleRadio::update_advertising(AdvertisementId id, Bytes payload,
@@ -149,7 +154,12 @@ Status BleRadio::update_advertising(AdvertisementId id, Bytes payload,
     return Status::error("advertisement interval must be >0");
   }
   bool reschedule = interval != adv->interval;
-  adv->payload = std::make_shared<const Bytes>(std::move(payload));
+  // Adaptive discovery re-issues the same cached frame whenever only the
+  // interval moves: keeping the frame keeps its stamp, so receivers go on
+  // hitting their memo.
+  if (payload != adv->frame->bytes) {
+    adv->frame = stamp_frame(std::move(payload));
+  }
   adv->interval = interval;
   if (reschedule) {
     adv->next_event.cancel();
@@ -199,9 +209,9 @@ void BleRadio::fire_adv(AdvertisementId id) {
   std::uint8_t n = sim::pack_u32s(p, {node_, uid_, id});
   adv->next_event = sim_.schedule_desc_on(node_, adv->interval,
                                           sim::kEventBleAdvertFire, p, n);
-  // The shared payload keeps delivery events valid even if a later event
+  // The shared frame keeps delivery events valid even if a later event
   // stops the advertisement (or reallocates the vector) before they fire.
-  medium_.broadcast(*this, adv->payload);
+  medium_.broadcast(*this, adv->frame);
 }
 
 Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
@@ -220,7 +230,9 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
           : Duration::micros(static_cast<std::int64_t>(sim_.rng().uniform(
                 0, static_cast<double>(
                        cal_.ble_fast_adv_interval.as_micros()))));
-  auto shared = std::make_shared<const Bytes>(std::move(payload));
+  // Unstamped: a burst is heard once, so there is no repeat to memoize.
+  auto shared =
+      std::make_shared<const StampedFrame>(StampedFrame{std::move(payload)});
   // The burst goes on the air at `wait`; receivers hear it one advertising
   // event later (the medium's delivery latency), and completion reports at
   // the same instant the transmission ends.
@@ -235,7 +247,7 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
     if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
                                                sc->recording()) {
       sc->mark_frame(sc->core().ble_adv, obs::Cat::kBleAdv,
-                     /*a0=*/shared->size());
+                     /*a0=*/shared->bytes.size());
     }
     medium_.broadcast(*this, shared, /*reliable_burst=*/true);
     if (done) {
@@ -246,14 +258,14 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
   return Status::ok();
 }
 
-void BleRadio::deliver(const BleAddress& from, const Bytes& payload) {
+void BleRadio::deliver(const BleAddress& from, const StampedFrame& frame) {
   if (!powered_ || !scanning_) return;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
                                              sc->recording()) {
     sc->mark_frame(sc->core().ble_rx, obs::Cat::kBleRx,
-                   /*a0=*/payload.size());
+                   /*a0=*/frame.bytes.size());
   }
-  if (on_receive_) on_receive_(from, payload);
+  if (on_receive_) on_receive_(from, frame.bytes, frame.stamp);
 }
 
 BleMedium::BleMedium(sim::World& world, const Calibration& cal)
@@ -364,7 +376,7 @@ void BleMedium::update_scan_state(BleRadio* radio) {
 }
 
 void BleMedium::broadcast(const BleRadio& from,
-                          const std::shared_ptr<const Bytes>& payload,
+                          const std::shared_ptr<const StampedFrame>& frame,
                           bool reliable_burst) {
   // Candidate nodes come from the world's spatial grid (exact-range
   // filtered, ascending by node id, including the sender's own node so
@@ -443,13 +455,13 @@ void BleMedium::broadcast(const BleRadio& from,
           Lane& lane = lanes_[lane_idx];
           if (tx_idx == kNoTxIdx) {
             tx_idx = static_cast<std::uint32_t>(lane.txs.size());
-            lane.txs.push_back(PendingTx{at, from.node(), src_addr, payload});
+            lane.txs.push_back(PendingTx{at, from.node(), src_addr, frame});
           }
           lane.winners.push_back(PendingWinner{c.node, c.uid, tx_idx});
         } else {
           sim.after_on(c.node, latency,
                        [this, node = c.node, rx_uid = c.uid, src_addr,
-                        pl = payload] { deliver(node, rx_uid, src_addr, *pl); });
+                        fr = frame] { deliver(node, rx_uid, src_addr, *fr); });
         }
       }
       return;
@@ -469,7 +481,7 @@ void BleMedium::broadcast(const BleRadio& from,
   std::uint64_t salt = 0;
   Duration fault_delay = Duration::zero();
   sim::Vec2 src_pos{};
-  std::shared_ptr<const Bytes> mangled;
+  std::shared_ptr<const StampedFrame> mangled;
   if (plan != nullptr) {
     salt = ++fault_salts_[from.node()];
     fault_delay = plan->extra_latency(from.node(), sim::FaultPlan::kAnyNode,
@@ -490,7 +502,7 @@ void BleMedium::broadcast(const BleRadio& from,
   const TimePoint at = now + latency + fault_delay;
   // The transmission record is created lazily on the first winner, so a
   // frame nobody captures costs nothing at the flush. A corrupted frame gets
-  // its own record (same instant/sender, mangled payload).
+  // its own record (same instant/sender, mangled bytes, stamp 0).
   constexpr std::uint32_t kNoTx = 0xffffffffu;
   std::uint32_t tx_idx = kNoTx;
   std::uint32_t mangled_tx_idx = kNoTx;
@@ -521,8 +533,9 @@ void BleMedium::broadcast(const BleRadio& from,
       corrupt_here =
           plan->corrupted(from.node(), node, sim::FaultRadio::kBle, now, salt);
       if (corrupt_here && mangled == nullptr) {
-        auto copy = std::make_shared<Bytes>(*payload);
-        sim::FaultPlan::corrupt_in_place(*copy, salt);
+        // The copy drops the stamp: it no longer names these bytes.
+        auto copy = std::make_shared<StampedFrame>(StampedFrame{frame->bytes});
+        sim::FaultPlan::corrupt_in_place(copy->bytes, salt);
         mangled = std::move(copy);
       }
     }
@@ -555,7 +568,7 @@ void BleMedium::broadcast(const BleRadio& from,
         if (idx == kNoTx) {
           idx = static_cast<std::uint32_t>(lane.txs.size());
           lane.txs.push_back(PendingTx{at, from.node(), src_addr,
-                                       corrupt_here ? mangled : payload});
+                                       corrupt_here ? mangled : frame});
         }
         lane.winners.push_back(PendingWinner{node, st.uid, idx});
       } else {
@@ -563,8 +576,8 @@ void BleMedium::broadcast(const BleRadio& from,
         // the delivery on the receiver's owner directly.
         sim.after_on(node, latency + fault_delay,
                      [this, node, rx_uid = st.uid, src_addr,
-                      pl = corrupt_here ? mangled : payload] {
-                       deliver(node, rx_uid, src_addr, *pl);
+                      fr = corrupt_here ? mangled : frame] {
+                       deliver(node, rx_uid, src_addr, *fr);
                      });
       }
     }
@@ -697,7 +710,7 @@ void BleMedium::deliver_batch(const std::vector<PendingTx>& txs,
   for (std::size_t k = begin; k < end; ++k) {
     const PendingWinner& rec = batch[k];
     const PendingTx& tx = txs[rec.tx];
-    delivered += deliver_uncounted(rec.dst, rec.rx_uid, tx.from, *tx.payload);
+    delivered += deliver_uncounted(rec.dst, rec.rx_uid, tx.from, *tx.frame);
   }
   if (delivered != 0) {
     lanes_[world_.simulator().current_shard_index()].delivered += delivered;
@@ -705,19 +718,19 @@ void BleMedium::deliver_batch(const std::vector<PendingTx>& txs,
 }
 
 void BleMedium::deliver(NodeId node, std::uint32_t rx_uid,
-                        const BleAddress& from, const Bytes& payload) {
-  if (deliver_uncounted(node, rx_uid, from, payload)) {
+                        const BleAddress& from, const StampedFrame& frame) {
+  if (deliver_uncounted(node, rx_uid, from, frame)) {
     ++lanes_[world_.simulator().current_shard_index()].delivered;
   }
 }
 
 bool BleMedium::deliver_uncounted(NodeId node, std::uint32_t rx_uid,
                                   const BleAddress& from,
-                                  const Bytes& payload) {
+                                  const StampedFrame& frame) {
   if (node >= radios_by_node_.size()) return false;
   for (const RadioState& st : radios_by_node_[node]) {
     if (st.uid != rx_uid) continue;  // radio detached since the broadcast
-    st.radio->deliver(from, payload);
+    st.radio->deliver(from, frame);
     return true;
   }
   return false;

@@ -33,6 +33,7 @@
 #include "common/types.h"
 #include "radio/calibration.h"
 #include "radio/energy_meter.h"
+#include "radio/stamped_frame.h"
 #include "sim/simulator.h"
 #include "sim/world.h"
 
@@ -43,9 +44,12 @@ class BleMedium;
 /// Identifier for an active periodic advertisement on one radio.
 using AdvertisementId = std::uint32_t;
 
+
 class BleRadio {
  public:
-  using ReceiveFn = std::function<void(const BleAddress& from, const Bytes&)>;
+  /// `stamp` is the frame's StampedFrame::stamp (0 = unstamped).
+  using ReceiveFn = std::function<void(const BleAddress& from, const Bytes&,
+                                       std::uint64_t stamp)>;
   using SendDoneFn = std::function<void(Status)>;
 
   BleRadio(BleMedium& medium, sim::Simulator& sim, EnergyMeter& meter,
@@ -103,7 +107,8 @@ class BleRadio {
   /// max_payload() or the radio is off.
   Result<AdvertisementId> start_advertising(Bytes payload, Duration interval);
 
-  /// Replace payload and/or interval of an existing advertisement.
+  /// Replace payload and/or interval of an existing advertisement. A
+  /// byte-identical payload keeps the frame and its stamp.
   Status update_advertising(AdvertisementId id, Bytes payload,
                             Duration interval);
 
@@ -118,13 +123,13 @@ class BleRadio {
                        bool deterministic_latency = true);
 
   /// Called by the medium when an in-range advertisement arrives.
-  void deliver(const BleAddress& from, const Bytes& payload);
+  void deliver(const BleAddress& from, const StampedFrame& frame);
 
  private:
   struct Advertisement {
     // Immutable once set (replaced wholesale on update): in-flight delivery
     // events share it, and every fire broadcasts it without copying.
-    std::shared_ptr<const Bytes> payload;
+    std::shared_ptr<const StampedFrame> frame;
     Duration interval;
     sim::EventHandle next_event;
   };
@@ -133,6 +138,8 @@ class BleRadio {
   void fire_adv(AdvertisementId id);
   void apply_scan_level();
   Advertisement* find_adv(AdvertisementId id);
+  /// `payload` under this radio's next stamp (see StampedFrame).
+  std::shared_ptr<const StampedFrame> stamp_frame(Bytes payload);
 
   /// The medium assigns uid_ at attach and fires advertisements by
   /// descriptor ({node, uid, adv} — see kEventBleAdvertFire), resolving the
@@ -155,6 +162,9 @@ class BleRadio {
   AddressFn on_address_;
   std::uint32_t rotation_count_ = 0;
   std::uint32_t uid_ = 0;  ///< medium-stable id, set by BleMedium::attach
+  /// Last stamp sequence handed out; advertisements start and change on
+  /// this node's shard only.
+  std::uint32_t stamp_seq_ = 0;
   AdvertisementId next_adv_id_ = 1;
   // A device runs a handful of advertisements (address beacon + a few
   // contexts): a flat vector with linear lookup beats hashing on the
@@ -180,7 +190,7 @@ class BleMedium {
   /// capture all but certain. Runs in the sender's execution context; trials
   /// draw from the sender's RNG stream against the scan-state snapshot.
   void broadcast(const BleRadio& from,
-                 const std::shared_ptr<const Bytes>& payload,
+                 const std::shared_ptr<const StampedFrame>& frame,
                  bool reliable_burst = false);
 
   /// Smallest cross-node latency this medium can produce: one advertising
@@ -215,14 +225,16 @@ class BleMedium {
 
   /// One frame on the air during the current window: the fields every
   /// winner shares. Splitting these out keeps the per-winner record at 12
-  /// bytes and takes one payload refcount per transmission instead of one
-  /// per receiver.
+  /// bytes and takes one frame refcount per transmission instead of one
+  /// per receiver. The stamp rides inside the shared frame.
   struct PendingTx {
     TimePoint at;  ///< delivery instant (transmission + min_latency)
     NodeId src;    ///< transmitting node (canonical-order key)
     BleAddress from;
-    std::shared_ptr<const Bytes> payload;
+    std::shared_ptr<const StampedFrame> frame;
   };
+  static_assert(sizeof(PendingTx) == 40,
+                "a window records one PendingTx per transmission");
   /// A capture-trial winner awaiting delivery. Produced on the sender's
   /// shard during a window (one lane per shard, so recording is contention-
   /// free), flushed at the barrier by flush_pending().
@@ -284,14 +296,14 @@ class BleMedium {
   static void scan_apply_handler(void* ctx, sim::Simulator& sim,
                                  const sim::EventDesc& d);
   void deliver(NodeId node, std::uint32_t rx_uid, const BleAddress& from,
-               const Bytes& payload);
+               const StampedFrame& frame);
   /// Run one sweep event: slot(16) | begin(24) | end(24), see flush_pending.
   void run_sweep(std::uint64_t packed);
   /// deliver() minus the per-reception shard-lane counter bump; returns
   /// whether the radio was still attached. deliver_batch counts locally and
   /// settles its lane counter once per sweep event.
   bool deliver_uncounted(NodeId node, std::uint32_t rx_uid,
-                         const BleAddress& from, const Bytes& payload);
+                         const BleAddress& from, const StampedFrame& frame);
   /// Barrier hook: sort this window's recorded winners into canonical
   /// (receiver, time, sender) order and schedule one sweep event per
   /// (delivery instant, receiver) run of the sorted batch.

@@ -13,6 +13,9 @@ namespace omni::radio {
 void NanSystem::attach(NanRadio* radio) {
   if (std::find(radios_.begin(), radios_.end(), radio) == radios_.end()) {
     radios_.push_back(radio);
+    // The first attach comes from the radio's constructor; re-enabling
+    // re-attaches and keeps the uid.
+    if (radio->uid_ == 0) radio->uid_ = next_uid_++;
   }
   ensure_ticking();
 }
@@ -95,7 +98,7 @@ void NanSystem::run_window() {
         }
       }
     }
-    for (const auto& [id, payload] : tx->publishes()) {
+    for (const auto& [id, frame] : tx->publishes()) {
       const std::uint64_t salt = plan != nullptr ? ++fault_salt_ : 0;
       for (NodeId node : scratch_nodes_) {
         auto it = awake_by_node_.find(node);
@@ -103,7 +106,8 @@ void NanSystem::run_window() {
         for (NanRadio* rx : it->second) {
           if (rx == tx) continue;
           NanAddress from = tx->address();
-          Bytes copy = payload;
+          Bytes copy = frame.bytes;
+          std::uint64_t stamp = frame.stamp;
           if (plan != nullptr) {
             obs::Omniscope* sc = OMNI_SCOPE(sim);
             if (sc != nullptr && !sc->recording()) sc = nullptr;
@@ -135,11 +139,12 @@ void NanSystem::run_window() {
                                rx->node());
               }
               sim::FaultPlan::corrupt_in_place(copy, salt);
+              stamp = 0;  // no longer the stamped bytes
             }
           }
           sim.after(deliver_after + tx_extra,
-                    [rx, from, copy = std::move(copy)] {
-                      rx->deliver(from, copy);
+                    [rx, from, copy = std::move(copy), stamp] {
+                      rx->deliver(from, copy, stamp);
                     });
         }
       }
@@ -210,7 +215,7 @@ void NanSystem::run_window() {
       sim.after(deliver_after + tx_extra,
                 [rx, from, payload = std::move(fu.payload),
                  done = std::move(fu.done)] {
-                  rx->deliver(from, payload);
+                  rx->deliver(from, payload, /*stamp=*/0);
                   if (done) done(Status::ok());
                 });
     }
@@ -300,7 +305,8 @@ Result<NanRadio::PublishId> NanRadio::publish(Bytes payload) {
                                     " bytes");
   }
   PublishId id = next_publish_++;
-  publishes_[id] = std::move(payload);
+  publishes_[id] =
+      StampedFrame{std::move(payload), next_stamp(1, uid_, stamp_seq_)};
   return id;
 }
 
@@ -310,7 +316,10 @@ Status NanRadio::update_publish(PublishId id, Bytes payload) {
   if (payload.size() > cal_.nan_max_payload) {
     return Status::error("NAN service info too large");
   }
-  it->second = std::move(payload);
+  if (payload != it->second.bytes) {
+    it->second =
+        StampedFrame{std::move(payload), next_stamp(1, uid_, stamp_seq_)};
+  }
   return Status::ok();
 }
 
@@ -330,9 +339,10 @@ Status NanRadio::send_followup(const NanAddress& dest, Bytes payload,
   return Status::ok();
 }
 
-void NanRadio::deliver(const NanAddress& from, const Bytes& payload) {
+void NanRadio::deliver(const NanAddress& from, const Bytes& payload,
+                       std::uint64_t stamp) {
   if (!enabled_) return;
-  if (on_receive_) on_receive_(from, payload);
+  if (on_receive_) on_receive_(from, payload, stamp);
 }
 
 }  // namespace omni::radio

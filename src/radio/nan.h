@@ -23,6 +23,7 @@
 #include "common/types.h"
 #include "radio/calibration.h"
 #include "radio/energy_meter.h"
+#include "radio/stamped_frame.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/world.h"
@@ -69,6 +70,7 @@ class NanSystem {
   /// Fault-draw salt, bumped per frame. Windows run barrier-serialized, so
   /// one counter is deterministic at any thread count.
   std::uint64_t fault_salt_ = 0;
+  std::uint32_t next_uid_ = 1;  ///< stamp uid for the next attached radio
   // Per-window scratch (cleared each window): awake radios indexed by node
   // for grid-backed publish fan-out, and the candidate-node query buffer.
   std::unordered_map<NodeId, std::vector<NanRadio*>> awake_by_node_;
@@ -77,8 +79,9 @@ class NanSystem {
 
 class NanRadio {
  public:
-  using ReceiveFn =
-      std::function<void(const NanAddress& from, const Bytes& payload)>;
+  /// `stamp` is the frame's StampedFrame::stamp (0 = unstamped).
+  using ReceiveFn = std::function<void(
+      const NanAddress& from, const Bytes& payload, std::uint64_t stamp)>;
   using SendDoneFn = std::function<void(Status)>;
   using PublishId = std::uint32_t;
 
@@ -102,6 +105,7 @@ class NanRadio {
 
   /// Begin publishing a service discovery frame in every attended window.
   Result<PublishId> publish(Bytes payload);
+  /// Replace a publish's frame. A byte-identical payload keeps its stamp.
   Status update_publish(PublishId id, Bytes payload);
   Status stop_publish(PublishId id);
   std::size_t active_publishes() const { return publishes_.size(); }
@@ -116,8 +120,11 @@ class NanRadio {
   // Called by the NanSystem during windows.
   bool attends(std::uint64_t window_index) const;
   void window_wake(TimePoint window_start);
-  void deliver(const NanAddress& from, const Bytes& payload);
-  const std::map<PublishId, Bytes>& publishes() const { return publishes_; }
+  void deliver(const NanAddress& from, const Bytes& payload,
+               std::uint64_t stamp);
+  const std::map<PublishId, StampedFrame>& publishes() const {
+    return publishes_;
+  }
   struct Followup {
     NanAddress dest;
     Bytes payload;
@@ -135,13 +142,16 @@ class NanRadio {
   sim::Simulator& sim_;
   EnergyMeter& meter_;
   NodeId node_;
+  std::uint32_t uid_ = 0;  ///< stamp uid, set by NanSystem::attach
   const Calibration& cal_;
   NanAddress address_;
 
   bool enabled_ = false;
   std::uint32_t attendance_ = 1;
-  std::map<PublishId, Bytes> publishes_;
+  std::map<PublishId, StampedFrame> publishes_;
   PublishId next_publish_ = 1;
+  std::uint32_t stamp_seq_ = 0;  ///< last stamp sequence handed out
+  friend class NanSystem;
   std::deque<Followup> followups_;
   ReceiveFn on_receive_;
 };

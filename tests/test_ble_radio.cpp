@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "net/testbed.h"
 #include "radio/ble.h"
 
@@ -17,7 +22,7 @@ TEST_F(BleRadioTest, PeriodicAdvertisementsReachScanners) {
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress& from, const Bytes& payload) {
+      [&](const BleAddress& from, const Bytes& payload, std::uint64_t) {
         EXPECT_EQ(from, a.ble().address());
         EXPECT_EQ(payload, (Bytes{1, 2, 3}));
         ++received;
@@ -36,7 +41,7 @@ TEST_F(BleRadioTest, OutOfRangeScannersHearNothing) {
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const Bytes&, std::uint64_t) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(5));
@@ -71,7 +76,8 @@ TEST_F(BleRadioTest, UpdateChangesPayloadAndStopEndsTransmission) {
   b.ble().set_scanning(true, 1.0);
   Bytes last;
   int count = 0;
-  b.ble().set_receive_handler([&](const BleAddress&, const Bytes& payload) {
+  b.ble().set_receive_handler([&](const BleAddress&, const Bytes& payload,
+                                  std::uint64_t) {
     last = payload;
     ++count;
   });
@@ -109,7 +115,8 @@ TEST_F(BleRadioTest, DatagramLatencyIsFastAdvMean) {
   auto& b = bed.add_device("b", {10, 0});
   b.ble().set_scanning(true, 1.0);
   TimePoint delivered;
-  b.ble().set_receive_handler([&](const BleAddress&, const Bytes&) {
+  b.ble().set_receive_handler([&](const BleAddress&, const Bytes&,
+                                  std::uint64_t) {
     delivered = bed.simulator().now();
   });
   TimePoint t0 = bed.simulator().now();
@@ -134,7 +141,7 @@ TEST_F(BleRadioTest, PowerOffCancelsEverything) {
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const Bytes&, std::uint64_t) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(1));
@@ -166,13 +173,112 @@ TEST_F(BleRadioTest, LowDutyScannerMissesSomeBeacons) {
   b.ble().set_scanning(true, 0.1);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const Bytes&, std::uint64_t) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(20));  // 200 events
   // Expect roughly 9% captures, certainly far fewer than a full-duty scan.
   EXPECT_GT(received, 2);
   EXPECT_LT(received, 60);
+}
+
+/// Every (bytes, stamp) pair a scanner heard, in arrival order.
+using Heard = std::vector<std::pair<Bytes, std::uint64_t>>;
+
+void record_into(net::Device& dev, Heard& heard) {
+  dev.ble().set_scanning(true, 1.0);
+  dev.ble().set_receive_handler(
+      [&heard](const BleAddress&, const Bytes& payload, std::uint64_t stamp) {
+        heard.emplace_back(payload, stamp);
+      });
+}
+
+/// The distinct stamps heard for `bytes`.
+std::set<std::uint64_t> stamps_of(const Heard& heard, const Bytes& bytes) {
+  std::set<std::uint64_t> out;
+  for (const auto& [payload, stamp] : heard) {
+    if (payload == bytes) out.insert(stamp);
+  }
+  return out;
+}
+
+TEST_F(BleRadioTest, StampNamesOneByteStringPerRadio) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  Heard heard;
+  record_into(b, heard);
+  const Bytes x{1, 2, 3};
+  const Bytes y{4, 5};
+  auto adv = a.ble().start_advertising(x, Duration::millis(100));
+  ASSERT_TRUE(adv.is_ok());
+  auto update = [&](const Bytes& payload) {
+    return a.ble()
+        .update_advertising(adv.value(), payload, Duration::millis(200))
+        .is_ok();
+  };
+  bed.simulator().run_for(Duration::seconds(1));
+  const std::set<std::uint64_t> first = stamps_of(heard, x);
+  ASSERT_EQ(first.size(), 1u) << "one stamp across every fire";
+  const std::uint64_t sx = *first.begin();
+  EXPECT_NE(sx, 0u);
+
+  // Adaptive discovery re-issues the cached frame with a new interval: the
+  // bytes are the same, so is the stamp.
+  ASSERT_TRUE(update(x));
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_EQ(stamps_of(heard, x), first);
+
+  // New bytes, new stamp; returning to the old bytes does not revive it.
+  ASSERT_TRUE(update(y));
+  bed.simulator().run_for(Duration::seconds(1));
+  const std::set<std::uint64_t> sy = stamps_of(heard, y);
+  ASSERT_EQ(sy.size(), 1u);
+  EXPECT_NE(*sy.begin(), 0u);
+  EXPECT_NE(*sy.begin(), sx);
+  ASSERT_TRUE(update(x));
+  bed.simulator().run_for(Duration::seconds(1));
+  const std::set<std::uint64_t> again = stamps_of(heard, x);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again.count(*sy.begin()), 0u);
+
+  // A second radio advertising the same bytes gets a stamp of its own.
+  auto& c = bed.add_device("c", {0, 10});
+  heard.clear();
+  ASSERT_TRUE(c.ble().start_advertising(y, Duration::millis(100)).is_ok());
+  bed.simulator().run_for(Duration::seconds(1));
+  const std::set<std::uint64_t> from_c = stamps_of(heard, y);
+  ASSERT_EQ(from_c.size(), 1u);
+  EXPECT_NE(*from_c.begin(), 0u);
+  EXPECT_EQ(sy.count(*from_c.begin()), 0u);
+  for (std::uint64_t s : stamps_of(heard, x)) EXPECT_NE(s, *from_c.begin());
+}
+
+TEST_F(BleRadioTest, DatagramsAndCorruptedCopiesAreUnstamped) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  Heard heard;
+  record_into(b, heard);
+  ASSERT_TRUE(a.ble().send_datagram(Bytes(30, 7), nullptr).is_ok());
+  bed.simulator().run_for(Duration::seconds(1));
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0].second, 0u);
+
+  // Every frame from `a` arrives corrupted: none may keep the stamp of the
+  // bytes it no longer carries.
+  sim::FaultPlan::LinkFault fault;
+  fault.radio = sim::FaultRadio::kBle;
+  fault.src = a.node();
+  fault.corrupt = 1.0;
+  bed.fault_plan().add_link_fault(fault);
+  heard.clear();
+  const Bytes x{1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_TRUE(a.ble().start_advertising(x, Duration::millis(100)).is_ok());
+  bed.simulator().run_for(Duration::seconds(1));
+  ASSERT_FALSE(heard.empty());
+  for (const auto& [payload, stamp] : heard) {
+    EXPECT_NE(payload, x);
+    EXPECT_EQ(stamp, 0u);
+  }
 }
 
 }  // namespace

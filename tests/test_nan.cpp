@@ -4,7 +4,11 @@
 // replacement for multicast context transmission).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
@@ -25,7 +29,7 @@ TEST_F(NanRadioTest, PublishesDeliverEveryWindow) {
   b.nan().set_enabled(true);
   int received = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress& from, const Bytes& payload) {
+      [&](const NanAddress& from, const Bytes& payload, std::uint64_t) {
         EXPECT_EQ(from, a.nan().address());
         EXPECT_EQ(payload, (Bytes{1, 2}));
         ++received;
@@ -44,9 +48,9 @@ TEST_F(NanRadioTest, WifiRangeNotBleRange) {
   for (auto* d : {&a, &b, &c}) d->nan().set_enabled(true);
   int b_got = 0, c_got = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++b_got; });
+      [&](const NanAddress&, const Bytes&, std::uint64_t) { ++b_got; });
   c.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++c_got; });
+      [&](const NanAddress&, const Bytes&, std::uint64_t) { ++c_got; });
   a.nan().publish(Bytes{7});
   bed.simulator().run_for(Duration::seconds(5));
   EXPECT_GT(b_got, 0);
@@ -67,7 +71,8 @@ TEST_F(NanRadioTest, FollowupDeliversNextWindow) {
   a.nan().set_enabled(true);
   b.nan().set_enabled(true);
   TimePoint delivered;
-  b.nan().set_receive_handler([&](const NanAddress&, const Bytes&) {
+  b.nan().set_receive_handler([&](const NanAddress&, const Bytes&,
+                                  std::uint64_t) {
     delivered = bed.simulator().now();
   });
   bool ok = false;
@@ -116,7 +121,7 @@ TEST_F(NanRadioTest, PowerSaveAttendanceReducesEnergyAndReception) {
   b.nan().set_attendance(10);  // wake 1 window in 10
   int received = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++received; });
+      [&](const NanAddress&, const Bytes&, std::uint64_t) { ++received; });
   a.nan().publish(Bytes{5});
   bed.simulator().run_for(Duration::seconds(30));
   // ~57 windows; b attends ~5-6 of them.
@@ -134,7 +139,7 @@ TEST_F(NanRadioTest, DisableStopsEverything) {
   b.nan().set_enabled(true);
   int received = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++received; });
+      [&](const NanAddress&, const Bytes&, std::uint64_t) { ++received; });
   a.nan().publish(Bytes{1});
   bed.simulator().run_for(Duration::seconds(3));
   int before = received;
@@ -143,6 +148,93 @@ TEST_F(NanRadioTest, DisableStopsEverything) {
   EXPECT_EQ(a.nan().active_publishes(), 0u);
   bed.simulator().run_for(Duration::seconds(3));
   EXPECT_EQ(received, before);
+}
+
+/// Every (bytes, stamp) pair a NAN radio heard, in arrival order.
+using Heard = std::vector<std::pair<Bytes, std::uint64_t>>;
+
+void record_into(net::Device& dev, Heard& heard) {
+  dev.nan().set_enabled(true);
+  dev.nan().set_receive_handler(
+      [&heard](const NanAddress&, const Bytes& payload, std::uint64_t stamp) {
+        heard.emplace_back(payload, stamp);
+      });
+}
+
+std::set<std::uint64_t> stamps_of(const Heard& heard, const Bytes& bytes) {
+  std::set<std::uint64_t> out;
+  for (const auto& [payload, stamp] : heard) {
+    if (payload == bytes) out.insert(stamp);
+  }
+  return out;
+}
+
+TEST_F(NanRadioTest, StampNamesOneByteStringPerRadio) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {50, 0});
+  a.nan().set_enabled(true);
+  Heard heard;
+  record_into(b, heard);
+  const Bytes x{1, 2, 3};
+  const Bytes y{4, 5};
+  auto pub = a.nan().publish(x);
+  ASSERT_TRUE(pub.is_ok());
+  bed.simulator().run_for(Duration::seconds(3));
+  const std::set<std::uint64_t> first = stamps_of(heard, x);
+  ASSERT_EQ(first.size(), 1u) << "one stamp across every window";
+  const std::uint64_t sx = *first.begin();
+  EXPECT_NE(sx, 0u);
+  EXPECT_NE(sx >> 63, 0u) << "NAN stamps never equal a BLE stamp";
+
+  ASSERT_TRUE(a.nan().update_publish(pub.value(), x).is_ok());
+  bed.simulator().run_for(Duration::seconds(3));
+  EXPECT_EQ(stamps_of(heard, x), first) << "byte-identical update";
+
+  ASSERT_TRUE(a.nan().update_publish(pub.value(), y).is_ok());
+  bed.simulator().run_for(Duration::seconds(3));
+  const std::set<std::uint64_t> sy = stamps_of(heard, y);
+  ASSERT_EQ(sy.size(), 1u);
+  EXPECT_NE(*sy.begin(), 0u);
+  EXPECT_NE(*sy.begin(), sx);
+
+  // A second radio publishing the same bytes gets a stamp of its own.
+  auto& c = bed.add_device("c", {0, 50});
+  c.nan().set_enabled(true);
+  ASSERT_TRUE(c.nan().publish(y).is_ok());
+  heard.clear();
+  bed.simulator().run_for(Duration::seconds(3));
+  const std::set<std::uint64_t> both = stamps_of(heard, y);
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(both.count(*sy.begin()), 1u);
+  EXPECT_EQ(both.count(0), 0u);
+}
+
+TEST_F(NanRadioTest, FollowupsAndCorruptedCopiesAreUnstamped) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {50, 0});
+  a.nan().set_enabled(true);
+  Heard heard;
+  record_into(b, heard);
+  ASSERT_TRUE(
+      a.nan().send_followup(b.nan().address(), Bytes{9}, nullptr).is_ok());
+  bed.simulator().run_for(Duration::seconds(2));
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0].second, 0u);
+
+  sim::FaultPlan::LinkFault fault;
+  fault.radio = sim::FaultRadio::kNan;
+  fault.src = a.node();
+  fault.corrupt = 1.0;
+  bed.fault_plan().add_link_fault(fault);
+  heard.clear();
+  const Bytes x{1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_TRUE(a.nan().publish(x).is_ok());
+  bed.simulator().run_for(Duration::seconds(3));
+  ASSERT_FALSE(heard.empty());
+  for (const auto& [payload, stamp] : heard) {
+    EXPECT_NE(payload, x);
+    EXPECT_EQ(stamp, 0u);
+  }
 }
 
 class NanOmniTest : public ::testing::Test {
